@@ -107,6 +107,33 @@ void BM_KvStoreSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_KvStoreSnapshot)->Arg(1000)->Arg(10000);
 
+// What a replica pays per checkpoint interval: freeze the store, then
+// overwrite kWrites keys (each first write keeps a pre-image) and drop the
+// handle unread, as when no state transfer asks for it. Compare with
+// BM_KvStoreSnapshot at the same store size.
+void BM_KvStoreCheckpoint(benchmark::State& state) {
+  constexpr int kWrites = 256;
+  const int records = static_cast<int>(state.range(0));
+  app::KvStore store;
+  std::vector<std::string> keys;
+  for (int i = 0; i < records; ++i) {
+    keys.push_back("key" + std::to_string(i));
+    store.put(keys.back(), std::string(100, 'v'));
+  }
+  const std::string value(100, 'w');
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto frozen = store.checkpoint();
+    benchmark::DoNotOptimize(frozen->size());
+    for (int k = 0; k < kWrites; ++k) {
+      store.put(keys[next], value);
+      next = (next + 7919) % keys.size();
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_KvStoreCheckpoint)->Arg(1000)->Arg(10000);
+
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(4, 4);
   app::ZipfianGenerator zipf(1'000'000);

@@ -1,8 +1,86 @@
 #include "app/kv_store.hpp"
 
-#include "common/codec.hpp"
+#include <cassert>
 
 namespace idem::app {
+
+namespace {
+
+/// Encoded length of one ByteWriter::str field.
+std::size_t str_size(std::string_view s) { return varint_size(s.size()) + s.size(); }
+
+}  // namespace
+
+/// Checkpoint handle: the store's size at checkpoint time plus, while
+/// tracked, the pre-image of every key written since (nullopt = the key
+/// did not exist then). Untracked means materialized: bytes_ is final.
+class KvStore::Frozen final : public FrozenState {
+ public:
+  explicit Frozen(KvStore& owner)
+      : owner_(&owner), count_(owner.data_.size()), size_(owner.snapshot_size()) {}
+
+  ~Frozen() override {
+    if (owner_ != nullptr) owner_->tracked_ = nullptr;
+  }
+
+  std::size_t size() const override { return size_; }
+
+  const std::vector<std::byte>& bytes() const override {
+    materialize();
+    return bytes_;
+  }
+
+  /// Called before the store overwrites or erases `key`; `live` is its
+  /// current value (moved from on the first write), or null if absent.
+  void remember(std::string_view key, std::string* live) {
+    auto it = pre_.lower_bound(key);
+    if (it != pre_.end() && it->first == key) return;  // pre-image already kept
+    std::optional<std::string> old;
+    if (live != nullptr) old = std::move(*live);
+    pre_.emplace_hint(it, std::string(key), std::move(old));
+  }
+
+  /// Builds the snapshot as of the checkpoint and detaches from the store:
+  /// the live map in key order, with every written key replaced by its
+  /// pre-image.
+  void materialize() const {
+    if (owner_ == nullptr) return;
+    ByteWriter w;
+    w.reserve(size_);
+    w.varint(count_);
+    const auto& live = owner_->data_;
+    auto cur = live.begin();
+    auto old = pre_.begin();
+    while (cur != live.end() || old != pre_.end()) {
+      if (old == pre_.end() || (cur != live.end() && cur->first < old->first)) {
+        w.str(cur->first);  // untouched since the checkpoint
+        w.str(cur->second);
+        ++cur;
+        continue;
+      }
+      if (cur != live.end() && cur->first == old->first) ++cur;  // written since
+      if (old->second) {
+        w.str(old->first);
+        w.str(*old->second);
+      }
+      ++old;
+    }
+    assert(w.size() == size_);
+    bytes_ = w.take();
+    owner_->tracked_ = nullptr;
+    owner_ = nullptr;
+    pre_ = {};
+  }
+
+ private:
+  mutable KvStore* owner_;
+  std::size_t count_;
+  std::size_t size_;
+  mutable std::map<std::string, std::optional<std::string>, std::less<>> pre_;
+  mutable std::vector<std::byte> bytes_;
+};
+
+KvStore::~KvStore() { stop_tracking(); }
 
 std::vector<std::byte> KvCommand::encode() const {
   ByteWriter w;
@@ -82,10 +160,10 @@ std::vector<std::byte> KvStore::execute(std::span<const std::byte> command) {
       break;
     }
     case KvOp::Put:
-      data_[cmd.key] = cmd.value;
+      put(std::move(cmd.key), std::move(cmd.value));
       break;
     case KvOp::Delete:
-      if (data_.erase(cmd.key) == 0) res.status = KvResult::Status::NotFound;
+      if (!erase(cmd.key)) res.status = KvResult::Status::NotFound;
       break;
     case KvOp::Scan: {
       auto it = data_.lower_bound(cmd.key);
@@ -101,13 +179,8 @@ std::vector<std::byte> KvStore::execute(std::span<const std::byte> command) {
 }
 
 std::vector<std::byte> KvStore::snapshot() const {
-  // Checkpointing serializes the whole store; size the buffer up front so the
-  // snapshot is a single allocation plus memcpy-sized appends (this showed up
-  // at ~28% of the fig6 overload profile before).
-  std::size_t estimate = 10;
-  for (const auto& [key, value] : data_) estimate += key.size() + value.size() + 20;
   ByteWriter w;
-  w.reserve(estimate);
+  w.reserve(snapshot_size());
   w.varint(data_.size());
   // std::map iteration is key-ordered, so equal states serialize equally.
   for (const auto& [key, value] : data_) {
@@ -117,16 +190,32 @@ std::vector<std::byte> KvStore::snapshot() const {
   return w.take();
 }
 
+std::unique_ptr<FrozenState> KvStore::checkpoint() {
+  stop_tracking();
+  auto frozen = std::make_unique<Frozen>(*this);
+  tracked_ = frozen.get();
+  return frozen;
+}
+
 void KvStore::restore(std::span<const std::byte> snapshot) {
+  // Single pass: snapshots are key-ordered, so every insert lands at the
+  // end hint, and the encoded size is summed over the keys kept (of
+  // duplicate keys in a malformed snapshot, the first wins).
   ByteReader r(snapshot);
   std::map<std::string, std::string, std::less<>> fresh;
+  std::size_t entry_bytes = 0;
   auto n = r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
     auto key = r.str();
     auto value = r.str();
-    fresh.emplace(std::move(key), std::move(value));
+    const std::size_t entry = str_size(key) + str_size(value);
+    const std::size_t before = fresh.size();
+    fresh.emplace_hint(fresh.end(), std::move(key), std::move(value));
+    if (fresh.size() != before) entry_bytes += entry;
   }
+  stop_tracking();
   data_ = std::move(fresh);
+  entry_bytes_ = entry_bytes;
 }
 
 Duration KvStore::execution_cost(std::span<const std::byte> command) const {
@@ -152,7 +241,29 @@ std::optional<std::string> KvStore::get(std::string_view key) const {
 }
 
 void KvStore::put(std::string key, std::string value) {
-  data_[std::move(key)] = std::move(value);
+  auto it = data_.lower_bound(key);
+  if (it != data_.end() && it->first == key) {
+    entry_bytes_ = entry_bytes_ - str_size(it->second) + str_size(value);
+    if (tracked_ != nullptr) tracked_->remember(it->first, &it->second);
+    it->second = std::move(value);
+    return;
+  }
+  entry_bytes_ += str_size(key) + str_size(value);
+  if (tracked_ != nullptr) tracked_->remember(key, nullptr);
+  data_.emplace_hint(it, std::move(key), std::move(value));
+}
+
+bool KvStore::erase(std::string_view key) {
+  auto it = data_.find(key);
+  if (it == data_.end()) return false;
+  entry_bytes_ -= str_size(it->first) + str_size(it->second);
+  if (tracked_ != nullptr) tracked_->remember(it->first, &it->second);
+  data_.erase(it);
+  return true;
+}
+
+void KvStore::stop_tracking() {
+  if (tracked_ != nullptr) tracked_->materialize();
 }
 
 }  // namespace idem::app

@@ -25,6 +25,16 @@ class CodecError : public std::runtime_error {
   explicit CodecError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// Encoded length of `v` as a ByteWriter::varint.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 /// Appends primitive values to a growing byte buffer.
 ///
 /// Multi-byte integers and string/byte payloads are appended as single bulk

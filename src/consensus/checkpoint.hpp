@@ -1,13 +1,14 @@
-// Checkpoints: application snapshot plus duplicate-detection metadata
+// Checkpoints: frozen application state plus duplicate-detection metadata
 // (paper Section 4.4).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
-#include <vector>
 
+#include "app/state_machine.hpp"
 #include "common/ids.hpp"
 #include "common/time.hpp"
 
@@ -17,7 +18,9 @@ namespace idem::consensus {
 /// up to and including `upto`.
 struct Checkpoint {
   SeqNum upto;
-  std::vector<std::byte> snapshot;
+  /// The application state as of `upto`; serialized only when a lagging
+  /// replica asks for it (state transfer).
+  std::shared_ptr<const app::FrozenState> state;
   /// Highest executed operation number per client — used to suppress
   /// duplicate execution after state transfer.
   std::map<std::uint64_t, std::uint64_t> last_executed;
@@ -35,6 +38,9 @@ class CheckpointStore {
   void store(Checkpoint checkpoint) {
     if (!latest_ || checkpoint.upto > latest_->upto) latest_ = std::move(checkpoint);
   }
+
+  /// Drops the latest checkpoint, releasing its frozen state.
+  void clear() { latest_.reset(); }
 
   const std::optional<Checkpoint>& latest() const { return latest_; }
   std::uint64_t interval() const { return interval_; }

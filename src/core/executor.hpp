@@ -6,8 +6,11 @@
 // and does not touch the state machine again until the completion callback
 // has run — the implementation must invoke `done` back on the replica's
 // runtime thread. That one-in-flight contract is what makes the handoff a
-// plain SPSC exchange and keeps snapshot()/restore() (checkpoints, state
-// transfer) safe without locking inside the state machine.
+// plain SPSC exchange and keeps checkpoint()/restore() safe without
+// locking inside the state machine. It covers state transfer too: a
+// checkpoint's FrozenState::bytes() may read the live state machine (the
+// KvStore merges it with its copy-on-write pre-images), so the replica
+// only serves a StateRequest while no batch is in flight.
 //
 // Simulation never sets an executor (IdemConfig::executor == nullptr), so
 // the deterministic trajectories are untouched; real deployments opt in

@@ -796,12 +796,17 @@ void IdemReplica::advance_window(std::uint64_t new_low) {
 
 void IdemReplica::maybe_checkpoint(std::uint64_t executed_sqn) {
   if (!checkpoints_.due(SeqNum{executed_sqn})) return;
-  std::vector<std::byte> snapshot = sm_->snapshot();
-  charge(kCheckpointBaseCost +
-         static_cast<Duration>(kCheckpointNsPerByte * static_cast<double>(snapshot.size())));
+  // Release the previous checkpoint before freezing again: a copy-on-write
+  // state machine would otherwise have to materialize its frozen state.
+  // Execution only moves forward, so the new checkpoint is the newest.
+  checkpoints_.clear();
   consensus::Checkpoint checkpoint;
   checkpoint.upto = SeqNum{executed_sqn};
-  checkpoint.snapshot = std::move(snapshot);
+  checkpoint.state = sm_->checkpoint();
+  // Simulated CPU still pays for a full serialization, as when checkpoints
+  // were serialized eagerly: the model's cost, not the host's.
+  charge(kCheckpointBaseCost + static_cast<Duration>(kCheckpointNsPerByte *
+                                                     static_cast<double>(checkpoint.state->size())));
   checkpoint.last_executed = {clients_.sessions().begin(), clients_.sessions().end()};
   checkpoints_.store(std::move(checkpoint));
   ++stats_.checkpoints_created;
@@ -810,10 +815,13 @@ void IdemReplica::maybe_checkpoint(std::uint64_t executed_sqn) {
 void IdemReplica::handle_state_request(const msg::StateRequest& request) {
   const auto& latest = checkpoints_.latest();
   if (!latest || latest->upto.value <= request.have.value) return;
+  // Building the bytes reads the state machine, which an in-flight executor
+  // batch is writing: stay silent, the requester asks again after 250 ms.
+  if (exec_inflight_) return;
   auto response = std::make_shared<msg::StateResponse>();
   response->from = me_;
   response->upto = latest->upto;
-  response->snapshot = latest->snapshot;
+  response->snapshot = latest->state->bytes();
   response->last_executed.reserve(latest->last_executed.size());
   for (const auto& [cid, onr] : latest->last_executed) {
     response->last_executed.emplace_back(ClientId{cid}, OpNum{onr});

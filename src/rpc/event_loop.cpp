@@ -90,10 +90,16 @@ void EventLoop::watch(int fd, std::uint32_t events, IoCallback callback) {
   if (::epoll_ctl(epoll_fd_, op, fd, &ev) < 0) {
     throw std::runtime_error(std::string("epoll_ctl: ") + std::strerror(errno));
   }
-  watchers_[fd] = std::move(shared);
+  watchers_[fd] = Watcher{std::move(shared), events};
 }
 
 void EventLoop::modify(int fd, std::uint32_t events) {
+  // Transports re-arm after every flush; most of those leave the mask as
+  // it was, and the kernel already has it.
+  if (auto it = watchers_.find(fd); it != watchers_.end()) {
+    if (it->second.events == events) return;
+    it->second.events = events;
+  }
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -177,7 +183,7 @@ void EventLoop::poll_once(Duration max_wait) {
     auto it = watchers_.find(events[i].data.fd);
     if (it == watchers_.end()) continue;
     // Hold a reference: the callback may unwatch (and erase) itself.
-    auto callback = it->second;
+    auto callback = it->second.callback;
     (*callback)(events[i].events);
   }
   fire_due_timers();

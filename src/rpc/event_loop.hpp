@@ -65,7 +65,8 @@ class EventLoop final : public sim::Runtime {
   /// Registers interest in `events` (EPOLLIN/EPOLLOUT/...) on `fd`.
   /// Replaces any previous registration for the fd.
   void watch(int fd, std::uint32_t events, IoCallback callback);
-  /// Updates the event mask of an already-watched fd.
+  /// Updates the event mask of an already-watched fd (no syscall when the
+  /// mask is unchanged).
   void modify(int fd, std::uint32_t events);
   void unwatch(int fd);
 
@@ -106,7 +107,11 @@ class EventLoop final : public sim::Runtime {
   std::atomic<bool> stopped_{false};
   Epoch start_;
   sim::EventQueue timers_;
-  std::unordered_map<int, std::shared_ptr<IoCallback>> watchers_;
+  struct Watcher {
+    std::shared_ptr<IoCallback> callback;
+    std::uint32_t events;  ///< mask last handed to epoll_ctl
+  };
+  std::unordered_map<int, Watcher> watchers_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Rng>> rngs_;
   std::mutex posted_mutex_;
   std::vector<Task> posted_;

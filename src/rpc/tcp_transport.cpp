@@ -347,6 +347,10 @@ void TcpTransport::inbound_ready(int fd) {
         close_inbound(fd, connection);
         return;
       }
+      // A short read drained the socket: stop here instead of paying one
+      // more recv for the EAGAIN. epoll is level-triggered, so bytes (or a
+      // FIN) arriving meanwhile fire the fd again.
+      if (static_cast<std::size_t>(n) < dst.size()) return;
       continue;
     }
     if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {

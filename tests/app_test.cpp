@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
+#include "app/counter.hpp"
 #include "app/kv_store.hpp"
 #include "app/ycsb.hpp"
 #include "common/rng.hpp"
@@ -168,6 +170,190 @@ TEST(KvStore, ExecutionCostScalesWithValueSize) {
   KvCommand big = small;
   big.value = std::string(10'000, 'v');
   EXPECT_GT(store.execution_cost(big.encode()), store.execution_cost(small.encode()));
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write checkpoints
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> put_command(std::string key, std::string value) {
+  KvCommand cmd;
+  cmd.op = KvOp::Put;
+  cmd.key = std::move(key);
+  cmd.value = std::move(value);
+  return cmd.encode();
+}
+
+std::vector<std::byte> delete_command(std::string key) {
+  KvCommand cmd;
+  cmd.op = KvOp::Delete;
+  cmd.key = std::move(key);
+  return cmd.encode();
+}
+
+/// A frozen handle together with the eager snapshot taken beside it.
+struct HeldCheckpoint {
+  std::unique_ptr<FrozenState> frozen;
+  std::vector<std::byte> expected;
+};
+
+HeldCheckpoint freeze(KvStore& store) {
+  HeldCheckpoint held{nullptr, store.snapshot()};
+  held.frozen = store.checkpoint();
+  EXPECT_EQ(held.frozen->size(), held.expected.size());
+  return held;
+}
+
+TEST(KvStoreCheckpoint, RandomWritesLeaveFrozenBytesExact) {
+  // Small key space so overwrites, re-inserts and deletes of frozen keys
+  // are common; lengths straddle the one-byte varint limit (127 -> 128).
+  Rng rng(11, 11);
+  auto random_key = [&] {
+    std::string key = "k" + std::to_string(rng.uniform_int(0, 40));
+    if (rng.bernoulli(0.1)) key.resize(static_cast<std::size_t>(rng.uniform_int(126, 129)), 'K');
+    return key;
+  };
+  auto random_value = [&] {
+    return std::string(static_cast<std::size_t>(rng.uniform_int(0, 3) == 0
+                                                    ? rng.uniform_int(125, 130)
+                                                    : rng.uniform_int(0, 8)),
+                       static_cast<char>('a' + rng.uniform_int(0, 25)));
+  };
+
+  for (int round = 0; round < 20; ++round) {
+    KvStore store;
+    std::vector<HeldCheckpoint> held;
+    std::vector<std::vector<std::byte>> earlier;  // restore sources
+    for (int step = 0; step < 400; ++step) {
+      const auto choice = rng.uniform_int(0, 99);
+      if (choice < 45) {
+        store.execute(put_command(random_key(), random_value()));
+      } else if (choice < 60) {
+        store.put(random_key(), random_value());
+      } else if (choice < 80) {
+        store.execute(delete_command(random_key()));
+      } else if (choice < 92) {
+        held.push_back(freeze(store));
+        earlier.push_back(held.back().expected);
+      } else if (choice < 95 && !earlier.empty()) {
+        store.restore(earlier[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(earlier.size()) - 1))]);
+      } else if (!held.empty()) {
+        // Read a handle early: it materializes and stops tracking.
+        const auto& pick = held[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(held.size()) - 1))];
+        ASSERT_EQ(pick.frozen->bytes(), pick.expected);
+      }
+      ASSERT_EQ(store.snapshot_size(), store.snapshot().size()) << "round " << round;
+    }
+    for (const auto& h : held) {
+      EXPECT_EQ(h.frozen->size(), h.expected.size());
+      EXPECT_EQ(h.frozen->bytes(), h.expected);
+    }
+  }
+}
+
+TEST(KvStoreCheckpoint, RecordCountVarintBoundary) {
+  KvStore store;
+  for (int i = 0; i < 127; ++i) store.put("key" + std::to_string(i), "v");
+  HeldCheckpoint at127 = freeze(store);
+  store.put("key127", "v");  // count varint grows to two bytes
+  EXPECT_EQ(store.size(), 128u);
+  EXPECT_EQ(store.snapshot_size(), store.snapshot().size());
+  HeldCheckpoint at128 = freeze(store);  // materializes at127 first
+  store.execute(delete_command("key5"));  // and back to one byte
+  EXPECT_EQ(store.snapshot_size(), store.snapshot().size());
+  EXPECT_EQ(at127.frozen->bytes(), at127.expected);
+  EXPECT_EQ(at128.frozen->bytes(), at128.expected);
+  // One more count byte plus the record: str("key127") = 7, str("v") = 2.
+  EXPECT_EQ(at128.frozen->size(), at127.frozen->size() + 1 + 7 + 2);
+}
+
+TEST(KvStoreCheckpoint, KeyAndValueLengthVarintBoundary) {
+  KvStore store;
+  const std::string key127(127, 'k');
+  const std::string key128(128, 'k');
+  store.put(key127, std::string(127, 'a'));
+  HeldCheckpoint held = freeze(store);
+  store.put(key127, std::string(128, 'b'));  // value length varint 1 -> 2 bytes
+  store.put(key128, std::string(127, 'c'));  // new key, two-byte key length
+  EXPECT_EQ(store.snapshot_size(), store.snapshot().size());
+  store.put(key128, std::string(1, 'd'));
+  store.execute(delete_command(key127));
+  EXPECT_EQ(store.snapshot_size(), store.snapshot().size());
+  EXPECT_EQ(held.frozen->bytes(), held.expected);
+}
+
+TEST(KvStoreCheckpoint, HandleSurvivesNewerCheckpointRestoreAndStoreDestruction) {
+  auto store = std::make_unique<KvStore>();
+  for (int i = 0; i < 50; ++i) store->put("k" + std::to_string(i), "v" + std::to_string(i));
+
+  HeldCheckpoint first = freeze(*store);
+  store->put("k1", "changed");
+  HeldCheckpoint second = freeze(*store);  // newer checkpoint while first is held
+  store->execute(delete_command("k2"));
+  store->put("k1", "again");
+
+  HeldCheckpoint third = freeze(*store);
+  store->put("k3", "before-restore");
+  KvStore other;
+  other.put("only", "key");
+  store->restore(other.snapshot());  // restore while third is tracked
+  EXPECT_EQ(store->snapshot_size(), store->snapshot().size());
+
+  HeldCheckpoint fourth = freeze(*store);
+  store->put("late", "write");
+  store.reset();  // the store dies while fourth is tracked
+
+  EXPECT_EQ(first.frozen->bytes(), first.expected);
+  EXPECT_EQ(second.frozen->bytes(), second.expected);
+  EXPECT_EQ(third.frozen->bytes(), third.expected);
+  EXPECT_EQ(fourth.frozen->bytes(), fourth.expected);
+  EXPECT_NE(first.expected, second.expected);
+}
+
+TEST(KvStoreCheckpoint, DroppedHandleStopsTracking) {
+  KvStore store;
+  store.put("a", "1");
+  store.checkpoint().reset();
+  store.put("a", "2");  // no handle alive: nothing to remember
+  HeldCheckpoint held = freeze(store);
+  EXPECT_EQ(held.frozen->bytes(), held.expected);
+  EXPECT_EQ(store.get("a"), "2");
+}
+
+TEST(KvStore, RestoreKeepsFirstOfDuplicateKeys) {
+  // Malformed but decodable snapshot: the duplicate is dropped, and the
+  // tracked size must count only what was kept.
+  ByteWriter w;
+  w.varint(3);
+  for (const char* kv : {"a", "a", "b"}) {
+    w.str(kv);
+    w.str(std::string(130, 'x'));
+  }
+  KvStore store;
+  store.restore(w.take());
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.snapshot_size(), store.snapshot().size());
+}
+
+TEST(CounterServiceCheckpoint, EagerDefaultIsFrozen) {
+  CounterService counters;
+  auto add = [](std::string name, std::int64_t delta) {
+    CounterCommand cmd;
+    cmd.op = CounterOp::Add;
+    cmd.name = std::move(name);
+    cmd.delta = delta;
+    return cmd.encode();
+  };
+  counters.execute(add("x", 5));
+  const auto expected = counters.snapshot();
+  auto frozen = counters.checkpoint();
+  counters.execute(add("x", 7));
+  counters.execute(add("y", 1));
+  EXPECT_EQ(frozen->size(), expected.size());
+  EXPECT_EQ(frozen->bytes(), expected);
+  EXPECT_NE(counters.snapshot(), expected);
 }
 
 // ---------------------------------------------------------------------------

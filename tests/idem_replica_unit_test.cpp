@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "app/kv_store.hpp"
+#include "core/executor.hpp"
 #include "idem/replica.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
@@ -447,6 +448,104 @@ TEST(IdemReplicaUnit, MalformedSnapshotSurvived) {
   f.settle();
   // Still alive, state untouched.
   EXPECT_EQ(f.replica->state_machine().snapshot(), before);
+}
+
+/// Drives instances first..first+count-1 through the fixture, one PUT
+/// each to keys[sqn % keys.size()]; `after_propose` runs once per instance.
+template <typename AfterPropose>
+void execute_instances(ReplicaFixture& f, std::uint64_t first, std::uint64_t count,
+                       const std::vector<const char*>& keys, AfterPropose after_propose) {
+  for (std::uint64_t sqn = first; sqn < first + count; ++sqn) {
+    auto req = f.request(sqn + 1, keys[sqn % keys.size()]);
+    f.client_sends(req);
+    f.settle();
+    f.leader_proposes(sqn, {req.id});
+    f.settle();
+    after_propose();
+  }
+}
+
+std::vector<const msg::StateResponse*> ask_for_state(ReplicaFixture& f) {
+  auto request = std::make_shared<msg::StateRequest>();
+  request->from = ReplicaId{2};
+  request->have = SeqNum{0};
+  f.peer->inject(f.replica->id(), std::move(request));
+  f.settle();
+  return f.peer->received_of<msg::StateResponse>();
+}
+
+TEST(IdemReplicaUnit, StateRequestServesCheckpointNotCurrentState) {
+  // checkpoint_interval = 4: executing sqn 3 checkpoints. Later writes
+  // overwrite checkpointed keys and add new ones; the state shipped must
+  // still be exactly the state at sqn 3.
+  ReplicaFixture f;
+  execute_instances(f, 0, 4, {"a", "b"}, [] {});
+  ASSERT_EQ(f.replica->next_execute().value, 4u);
+  ASSERT_EQ(f.replica->stats().checkpoints_created, 1u);
+  const auto at_checkpoint = f.replica->state_machine().snapshot();
+
+  execute_instances(f, 4, 3, {"a", "c", "d"}, [] {});  // sqn 4..6: no new checkpoint
+  ASSERT_EQ(f.replica->next_execute().value, 7u);
+  ASSERT_NE(f.replica->state_machine().snapshot(), at_checkpoint);
+
+  auto responses = ask_for_state(f);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0]->upto, SeqNum{3});
+  EXPECT_EQ(responses[0]->snapshot, at_checkpoint);
+}
+
+/// Holds each submitted batch until the test completes it.
+class HeldExecutor final : public core::Executor {
+ public:
+  void execute(app::StateMachine& sm, std::vector<std::vector<std::byte>> commands, Time,
+               Done done) override {
+    sm_ = &sm;
+    commands_ = std::move(commands);
+    done_ = std::move(done);
+  }
+
+  bool holding() const { return static_cast<bool>(done_); }
+
+  void complete() {
+    std::vector<std::vector<std::byte>> results;
+    for (const auto& command : commands_) results.push_back(sm_->execute(command));
+    Done done = std::move(done_);
+    done_ = nullptr;
+    done(std::move(results));
+  }
+
+ private:
+  app::StateMachine* sm_ = nullptr;
+  std::vector<std::vector<std::byte>> commands_;
+  Done done_;
+};
+
+TEST(IdemReplicaUnit, StateRequestWaitsOutInFlightBatch) {
+  // Serving a checkpoint reads the state machine, which an executor batch
+  // may be writing: the replica stays silent until the batch is done.
+  HeldExecutor executor;
+  auto config = ReplicaFixture::make_config();
+  config.executor = &executor;
+  ReplicaFixture f(config);
+  execute_instances(f, 0, 4, {"a", "b"}, [&] {
+    ASSERT_TRUE(executor.holding());
+    executor.complete();
+  });
+  ASSERT_EQ(f.replica->next_execute().value, 4u);
+  const auto at_checkpoint = f.replica->state_machine().snapshot();
+
+  execute_instances(f, 4, 1, {"a"}, [] {});  // sqn 4 stays in flight
+  ASSERT_TRUE(executor.holding());
+  EXPECT_TRUE(ask_for_state(f).empty());
+
+  executor.complete();
+  f.settle();
+  ASSERT_EQ(f.replica->next_execute().value, 5u);
+  EXPECT_TRUE(f.peer->received_of<msg::StateResponse>().empty());  // not queued
+  auto responses = ask_for_state(f);  // the requester's retry
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0]->upto, SeqNum{3});
+  EXPECT_EQ(responses[0]->snapshot, at_checkpoint);
 }
 
 TEST(IdemReplicaUnit, RejectingReplicaCachesBody) {

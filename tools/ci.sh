@@ -240,6 +240,10 @@ trap 'rm -f "${TRACE_TMP}"' EXIT
 echo "== bench: sim-core smoke =="
 IDEM_SIMCORE_SMOKE=1 IDEM_SIMCORE_JSON=/dev/null ./build/bench/micro_simcore
 
+# Keeps the KV snapshot/checkpoint micro-benchmarks compiling and running.
+echo "== bench: KV store micro-benchmarks smoke =="
+./build/bench/micro_components --benchmark_filter=KvStore --benchmark_min_time=0.01
+
 # Batching sweep: batch 1/4/16 load sweep writing BENCH_batching.json. The
 # binary itself asserts the shape (batch >= 4 saturates higher than batch 1,
 # rejects still appear at 4x load) and exits nonzero when it does not hold.
