@@ -46,6 +46,9 @@ class ByteWriter {
   /// Pre-size the buffer for a message of known encoded length.
   void reserve(std::size_t n) { buf_.reserve(n); }
 
+  /// Appends `n` zero bytes (space the caller fills in later).
+  void skip(std::size_t n) { buf_.resize(buf_.size() + n); }
+
   void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
 
   void u16(std::uint16_t v) {

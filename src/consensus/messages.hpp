@@ -110,16 +110,19 @@ class Message : public sim::Payload {
     return *size_;
   }
 
-  /// Full binary encoding including the leading type byte. Also primes the
-  /// wire-size cache, and uses it when already known: the network layer
-  /// calls wire_size() on every send, so a later encode of the same message
-  /// serializes into an exactly-sized buffer in one allocation.
-  std::vector<std::byte> encode() const {
+  /// Full binary encoding including the leading type byte, behind
+  /// `headroom` zero bytes the caller fills in afterwards (a transport's
+  /// frame header). Also primes the wire-size cache, and uses it when
+  /// already known: the network layer calls wire_size() on every send, so
+  /// a later encode of the same message serializes into an exactly-sized
+  /// buffer in one allocation.
+  std::vector<std::byte> encode(std::size_t headroom = 0) const {
     ByteWriter w;
-    if (size_) w.reserve(*size_);
+    if (size_) w.reserve(headroom + *size_);
+    w.skip(headroom);
     w.u8(static_cast<std::uint8_t>(type()));
     encode_body(w);
-    if (!size_) size_ = w.size();
+    if (!size_) size_ = w.size() - headroom;
     return w.take();
   }
 

@@ -470,7 +470,7 @@ void StormEngine::conn_readable(Session& session, std::size_t ci) {
   conn.reader.commit(static_cast<std::size_t>(received));
   const bool ok = conn.reader.drain(
       [this, &session, epoch](std::uint32_t sender, std::uint32_t /*sender_port*/,
-                              std::span<const std::byte> payload) {
+                              std::uint32_t /*dest*/, std::span<const std::byte> payload) {
         // A frame earlier in this batch may have completed the operation
         // and torn the connections down (reconnect_every_ops churn).
         if (session.conn_epoch != epoch) return;
@@ -553,10 +553,11 @@ void StormEngine::issue_op(Session& session) {
   session.pending_id = RequestId{session.cid, OpNum{session.onr}};
   const msg::Request request(session.pending_id,
                              session.workload->next_operation().encode());
-  // Sender-port 0: replicas route the REPLY/REJECT back over this very
-  // connection instead of dialing a listener we don't have.
+  // Sender-port 0: no listener to re-dial. kNoDest: the same frame goes
+  // to every replica, each delivering it to the replica that accepted the
+  // connection. Replies come back over this very connection.
   session.pending_frame =
-      rpc::encode_frame(consensus::client_address(session.cid).value, 0, request.encode());
+      rpc::frame_message(request, consensus::client_address(session.cid).value, 0);
   session.pending = true;
   session.issued_at = loop_.now();
   session.reject_mask = 0;

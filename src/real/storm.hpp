@@ -7,9 +7,11 @@
 // counterpart: raw nonblocking sockets on a single rpc::EventLoop, one
 // lean state machine per session (connect → warm → issue → reconnect),
 // speaking the IDEM wire protocol directly (rpc/framing.hpp frames
-// carrying msg::Request/Reply/Reject). Sessions advertise sender-port 0,
-// so replicas answer over the same inbound connection (the transport's
-// reply-over-inbound route) — no listener and no dial-back per session.
+// carrying msg::Request/Reply/Reject). Sessions advertise sender-port 0
+// and no destination (kNoDest: the replica that accepted the connection),
+// and replicas answer over the same connection — the transport routes
+// replies to every sender back over the connection its frames arrived
+// on — so there is no listener and no dial-back per session.
 //
 // The request lifecycle mirrors the fixed IdemClient: REQUESTs are
 // multicast to every replica, rejections are counted per try (a

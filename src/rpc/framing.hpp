@@ -1,11 +1,18 @@
 // Wire framing for the TCP transport.
 //
 // Every frame is [u32 length][u32 sender-node-id][u32 sender-listen-port]
-// [payload bytes], with the payload being a consensus::messages binary
-// encoding. Carrying the sender's listening port lets receivers learn
-// return addresses automatically (a replica can answer a client it has
-// never been configured with). FrameReader reassembles frames from an
-// arbitrary stream of socket reads.
+// [u32 dest-node-id][payload bytes], with the payload being a
+// consensus::messages binary encoding. The destination lets one
+// connection carry traffic for every node of the transports at its two
+// ends: co-located clients share one connection to each replica, and the
+// replies to all of them travel back over it. kNoDest frames (a storm
+// session multicasting one REQUEST frame to every replica) go to the node
+// whose listener accepted the connection. Every sender's frames teach the
+// receiver a route back over the connection they arrived on, so replies
+// never dial out to a sender's listener while that connection lives; the
+// advertised listening port (0 for listener-less senders) only serves to
+// re-dial after the connection is lost. FrameReader reassembles frames
+// from an arbitrary stream of socket reads.
 //
 // Hot-path shape: the reader owns one grow-only buffer that sockets recv
 // directly into (write_span()/commit()), and parsing tracks a head offset
@@ -13,49 +20,78 @@
 // does zero allocation and zero per-frame memmove. The buffer compacts
 // (one memmove of the partial-frame tail) only when a frame straddles the
 // buffer end, and grows only when a frame is larger than anything seen
-// before on this connection.
+// before on this connection. On the send side frame_message() encodes a
+// message straight into the frame buffer behind the header: one
+// allocation per frame.
 //
 // Hardening: decode enforces a maximum frame size (configurable per
 // reader; kMaxFrameBytes by default) so one malformed or hostile length
-// header cannot make a replica buffer gigabytes. The reader reports *why*
-// it gave up (error()) and whether a closed stream ended mid-frame
-// (truncated()), so transports can count both conditions instead of
-// dropping connections silently.
+// header cannot make a replica buffer gigabytes — checked as soon as the
+// length word is buffered, before the rest of the header arrives. The
+// reader reports *why* it gave up (error()) and whether a closed stream
+// ended mid-frame (truncated()), so transports can count both conditions
+// instead of dropping connections silently.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <span>
 #include <vector>
 
 namespace idem::rpc {
 
-constexpr std::size_t kFrameHeaderBytes = 12;  // u32 length + u32 sender + u32 port
+/// u32 length + u32 sender + u32 sender port + u32 destination.
+constexpr std::size_t kFrameHeaderBytes = 16;
+/// The length word alone, enough to reject an oversized frame.
+constexpr std::size_t kFrameLengthBytes = 4;
+/// Destination of frames addressed to "whichever node accepted this
+/// connection".
+constexpr std::uint32_t kNoDest = 0xFFFFFFFF;
 constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 /// Default size of the span write_span() offers to recv into; also the
 /// reader's initial buffer capacity, so typical connections never grow.
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 
-/// Builds one frame ready for transmission. `sender_port` is the port on
-/// which the sending node accepts connections (0 when unknown).
+/// Fills the kFrameHeaderBytes at the front of `frame`; the payload is
+/// everything after them.
+inline void write_frame_header(std::vector<std::byte>& frame, std::uint32_t sender,
+                               std::uint32_t sender_port, std::uint32_t dest) {
+  const std::uint32_t fields[4] = {
+      static_cast<std::uint32_t>(frame.size() - kFrameHeaderBytes), sender, sender_port, dest};
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t b = 0; b < 4; ++b) {
+      frame[4 * i + b] = std::byte((fields[i] >> (8 * b)) & 0xFF);
+    }
+  }
+}
+
+/// Builds one frame around already-encoded payload bytes. `sender_port`
+/// is the port on which the sending node accepts connections (0 when it
+/// has none).
 inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t sender_port,
-                                           std::span<const std::byte> payload) {
-  std::vector<std::byte> out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  auto push_u32 = [&out](std::uint32_t v) {
-    out.push_back(std::byte(v & 0xFF));
-    out.push_back(std::byte((v >> 8) & 0xFF));
-    out.push_back(std::byte((v >> 16) & 0xFF));
-    out.push_back(std::byte((v >> 24) & 0xFF));
-  };
-  push_u32(static_cast<std::uint32_t>(payload.size()));
-  push_u32(sender);
-  push_u32(sender_port);
-  out.insert(out.end(), payload.begin(), payload.end());
+                                           std::span<const std::byte> payload,
+                                           std::uint32_t dest = kNoDest) {
+  std::vector<std::byte> out(kFrameHeaderBytes + payload.size());
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeaderBytes, payload.data(), payload.size());
+  }
+  write_frame_header(out, sender, sender_port, dest);
   return out;
+}
+
+/// Builds one frame around a message in a single allocation: the message
+/// encodes straight into the frame buffer behind a reserved header
+/// (`encode(headroom)`, exactly sized once the message's wire size is
+/// cached).
+template <typename Message>
+std::vector<std::byte> frame_message(const Message& message, std::uint32_t sender,
+                                     std::uint32_t sender_port,
+                                     std::uint32_t dest = kNoDest) {
+  std::vector<std::byte> frame = message.encode(kFrameHeaderBytes);
+  write_frame_header(frame, sender, sender_port, dest);
+  return frame;
 }
 
 /// Incremental frame decoder: recv into write_span(), commit() the byte
@@ -64,9 +100,6 @@ inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t s
 /// split across any number of reads, and multiple frames per read.
 class FrameReader {
  public:
-  using FrameCallback = std::function<void(std::uint32_t sender, std::uint32_t sender_port,
-                                           std::span<const std::byte> payload)>;
-
   enum class Error : std::uint8_t {
     None = 0,
     Oversized,  ///< a length header exceeded the frame-size bound
@@ -100,24 +133,23 @@ class FrameReader {
   /// Marks `n` bytes of the last write_span() as filled by the socket.
   void commit(std::size_t n) { fill_ += n; }
 
-  /// Parses every complete frame out of the buffer, invoking `callback`
-  /// for each. Returns false if the stream is malformed (oversized frame;
-  /// see error()) — the caller should drop the connection and account for
-  /// the bad frame. Templated on the callback so hot-path callers pass a
-  /// raw lambda with no std::function conversion (which could allocate).
+  /// Parses every complete frame out of the buffer, invoking
+  /// `callback(sender, sender_port, dest, payload)` for each. Returns
+  /// false if the stream is malformed (oversized frame; see error()) — the
+  /// caller should drop the connection and account for the bad frame.
+  /// Templated on the callback so hot-path callers pass a raw lambda with
+  /// no std::function conversion (which could allocate).
   template <typename Callback>
   bool drain(const Callback& callback) {
     if (error_ != Error::None) return false;
-    while (fill_ - head_ >= kFrameHeaderBytes) {
+    while (fill_ - head_ >= kFrameLengthBytes) {
       std::uint32_t length = read_u32(head_);
-      std::uint32_t sender = read_u32(head_ + 4);
-      std::uint32_t sender_port = read_u32(head_ + 8);
       if (length > max_frame_) {
         error_ = Error::Oversized;
         return false;
       }
-      if (fill_ - head_ - kFrameHeaderBytes < length) break;
-      callback(sender, sender_port,
+      if (fill_ - head_ < kFrameHeaderBytes + std::size_t{length}) break;
+      callback(read_u32(head_ + 4), read_u32(head_ + 8), read_u32(head_ + 12),
                std::span<const std::byte>(buffer_.data() + head_ + kFrameHeaderBytes, length));
       head_ += kFrameHeaderBytes + length;
     }

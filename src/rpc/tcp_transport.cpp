@@ -63,26 +63,33 @@ struct TcpTransport::LocalNode {
   sim::Endpoint* endpoint = nullptr;
   int listen_fd = -1;
   std::uint16_t port = 0;
-  std::vector<int> inbound_fds;  // accepted connections delivering to this node
 };
 
-struct TcpTransport::InboundConnection {
+struct TcpTransport::Connection {
   static constexpr Time kNoPartial = -1;
 
   int fd = -1;
-  std::uint32_t local_node = 0;  // destination of the frames on this connection
-  std::string peer_host;         // learned at accept; return address for senders
-  FrameReader reader;
-  /// Listener-less senders (port-0 frames) whose replies route back over
-  /// this connection; one entry in practice (one session per socket).
-  std::vector<std::uint32_t> route_nodes;
-  PendingWrites out;             // reply-over-inbound frames awaiting write
+  bool accepted = false;         ///< accepted on a local listener (else we dialed it)
+  bool connected = true;         ///< dialed: the handshake has completed
+  bool retired = false;          ///< lost a duplicate-connection race: no new frames
+  bool write_shut = false;       ///< our half-close has been sent
   bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
-  Time last_activity = 0;        ///< accept time, then the last recv that moved bytes
+  std::uint32_t owner = 0;       ///< accepting listener's node, or the dialing node;
+                                 ///< kNoDest frames are delivered to it
+  std::uint32_t dialer = kNoDest;  ///< node that dialed it: the sender of its
+                                   ///< first frame (sent or received)
+  std::uint64_t serial = 0;      ///< creation order (newer wins a tie between dialers)
+  std::string peer_host;         ///< host part of return addresses learned here
+  FrameReader reader;
+  PendingWrites out;
+  /// Remote nodes whose route points here (entries another connection
+  /// has since taken over are skipped on close).
+  std::vector<std::uint32_t> routes;
+  Time last_activity = 0;        ///< creation, then the last recv or send that moved bytes
   Time partial_since = kNoPartial;  ///< when the currently buffered partial
                                     ///< frame started (completed frames reset it)
 
-  InboundConnection(std::size_t max_frame, std::size_t initial_capacity)
+  Connection(std::size_t max_frame, std::size_t initial_capacity)
       : reader(max_frame, initial_capacity) {}
 };
 
@@ -112,14 +119,6 @@ void PendingWrites::consume(std::size_t written) {
   }
 }
 
-struct TcpTransport::OutboundConnection {
-  int fd = -1;
-  std::uint32_t dest = 0;
-  bool connected = false;
-  bool flush_scheduled = false;  ///< a deferred end-of-iteration flush is queued
-  PendingWrites out;
-};
-
 TcpTransport::TcpTransport(EventLoop& loop, TcpTransportConfig config)
     : loop_(loop), config_(std::move(config)) {
   arm_sweep();
@@ -127,15 +126,9 @@ TcpTransport::TcpTransport(EventLoop& loop, TcpTransportConfig config)
 
 TcpTransport::~TcpTransport() {
   if (sweep_timer_.valid()) loop_.cancel(sweep_timer_);
-  for (auto& [fd, connection] : inbound_) {
+  for (auto& [fd, connection] : connections_) {
     loop_.unwatch(fd);
     ::close(fd);
-  }
-  for (auto& [dest, connection] : outbound_) {
-    if (connection->fd >= 0) {
-      loop_.unwatch(connection->fd);
-      ::close(connection->fd);
-    }
   }
   for (auto& [id, node] : locals_) {
     if (node->listen_fd >= 0) {
@@ -190,14 +183,11 @@ void TcpTransport::remove_node(sim::NodeId id) {
     loop_.unwatch(node.listen_fd);
     ::close(node.listen_fd);
   }
-  for (int fd : node.inbound_fds) {
-    auto conn_it = inbound_.find(fd);
-    if (conn_it != inbound_.end()) {
-      loop_.unwatch(fd);
-      ::close(fd);
-      inbound_.erase(conn_it);
-    }
+  std::vector<Connection*> accepted;
+  for (auto& [fd, connection] : connections_) {
+    if (connection->accepted && connection->owner == id.value) accepted.push_back(connection.get());
   }
+  for (Connection* connection : accepted) close_connection(*connection);
   locals_.erase(it);
 }
 
@@ -210,6 +200,25 @@ void TcpTransport::set_remote(sim::NodeId id, const PeerAddress& address) {
   remotes_[id.value] = address;
 }
 
+TcpTransport::Connection& TcpTransport::add_connection(int fd, bool accepted, std::uint32_t owner,
+                                                       std::string peer_host) {
+  auto connection =
+      std::make_unique<Connection>(config_.max_frame_bytes, config_.read_buffer_bytes);
+  connection->fd = fd;
+  connection->accepted = accepted;
+  connection->owner = owner;
+  connection->serial = next_serial_++;
+  connection->peer_host = std::move(peer_host);
+  connection->last_activity = loop_.now();
+  Connection& raw = *connection;
+  connections_[fd] = std::move(connection);
+  if (accepted) ++accepted_open_;
+  // A dialed socket also waits for EPOLLOUT: the handshake completing.
+  loop_.watch(fd, accepted ? EPOLLIN : EPOLLIN | EPOLLOUT,
+              [this, fd](std::uint32_t events) { connection_event(fd, events); });
+  return raw;
+}
+
 void TcpTransport::accept_ready(LocalNode& node) {
   for (std::size_t accepted = 0; accepted < config_.accept_burst; ++accepted) {
     sockaddr_in peer{};
@@ -218,7 +227,7 @@ void TcpTransport::accept_ready(LocalNode& node) {
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN or error: backlog drained for now
     if (config_.max_inbound_connections != 0 &&
-        inbound_.size() >= config_.max_inbound_connections) {
+        accepted_open_ >= config_.max_inbound_connections) {
       // At the connection cap: shed at accept, before the connection costs
       // a buffer or a watch. The peer sees an immediate close (reset once
       // it writes) — the connection-limit early rejection
@@ -228,20 +237,12 @@ void TcpTransport::accept_ready(LocalNode& node) {
       continue;
     }
     set_nodelay(fd);
-    auto connection = std::make_unique<InboundConnection>(config_.max_frame_bytes,
-                                                          config_.read_buffer_bytes);
-    connection->fd = fd;
-    connection->local_node = node.id.value;
-    connection->last_activity = loop_.now();
     char host[INET_ADDRSTRLEN] = "127.0.0.1";
     if (peer.sin_family == AF_INET) {
       ::inet_ntop(AF_INET, &peer.sin_addr, host, sizeof(host));
     }
-    connection->peer_host = host;
+    add_connection(fd, /*accepted=*/true, node.id.value, host);
     ++stats_.accepted_connections;
-    node.inbound_fds.push_back(fd);
-    inbound_[fd] = std::move(connection);
-    loop_.watch(fd, EPOLLIN, [this, fd](std::uint32_t events) { inbound_event(fd, events); });
   }
   // Burst budget spent with the backlog possibly non-empty: continue in
   // the next loop iteration (deferred tasks deferred from a deferred task
@@ -253,41 +254,103 @@ void TcpTransport::accept_ready(LocalNode& node) {
   });
 }
 
-void TcpTransport::close_inbound(int fd, InboundConnection& connection) {
-  loop_.unwatch(fd);
-  ::close(fd);
-  // Detach from the owning node so remove_node never touches a recycled
-  // fd number.
-  if (auto local_it = locals_.find(connection.local_node); local_it != locals_.end()) {
-    auto& fds = local_it->second->inbound_fds;
-    std::erase(fds, fd);
+TcpTransport::Connection* TcpTransport::route_to(std::uint32_t from, std::uint32_t to) {
+  if (auto route = routes_.find(to); route != routes_.end()) return route->second;
+
+  PeerAddress address;
+  if (auto it = locals_.find(to); it != locals_.end()) {
+    address = PeerAddress{"127.0.0.1", it->second->port};
+  } else if (auto remote = remotes_.find(to); remote != remotes_.end()) {
+    address = remote->second;
   }
-  // Retire reply routes that still point at this connection (a reconnect
-  // may already have repointed them at a newer fd — leave those alone).
-  for (std::uint32_t node : connection.route_nodes) {
-    if (auto route = inbound_routes_.find(node);
-        route != inbound_routes_.end() && route->second == fd) {
-      inbound_routes_.erase(route);
+  sockaddr_in addr;
+  if (address.port == 0 || !resolve(address.host, address.port, addr)) return nullptr;
+
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) return nullptr;
+  set_nodelay(fd);
+  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  if (rc < 0 && errno != EINPROGRESS) {
+    ::close(fd);
+    return nullptr;
+  }
+  Connection& connection = add_connection(fd, /*accepted=*/false, from, address.host);
+  connection.connected = (rc == 0);
+  connection.routes.push_back(to);
+  routes_[to] = &connection;
+  return &connection;
+}
+
+void TcpTransport::learn_route(Connection& connection, std::uint32_t sender,
+                               std::uint32_t sender_port) {
+  auto route = routes_.find(sender);
+  if (route != routes_.end() && route->second == &connection) return;  // the steady state
+  // Local senders talk to themselves through our own listener: the
+  // connection's other end already routes for them.
+  if (connection.retired || locals_.contains(sender)) return;
+  if (route == routes_.end()) {
+    routes_.emplace(sender, &connection);
+    connection.routes.push_back(sender);
+    // Kept for re-dialing the sender once this connection is gone
+    // (self-advertised port, peer IP from the socket). Port 0 means the
+    // sender has no listener: only this connection reaches it.
+    if (sender_port != 0) {
+      remotes_[sender] =
+          PeerAddress{connection.peer_host, static_cast<std::uint16_t>(sender_port)};
+    }
+    return;
+  }
+  // A second connection reaches the same peer transport (both ends
+  // dialed, or the peer reconnected). Both ends keep the one dialed by the
+  // lower node id; on a tie the newer one, which the peer chose last.
+  Connection& current = *route->second;
+  if (connection.dialer < current.dialer ||
+      (connection.dialer == current.dialer && connection.serial > current.serial)) {
+    retire(current, connection);
+  }
+}
+
+void TcpTransport::retire(Connection& loser, Connection& winner) {
+  for (std::uint32_t node : loser.routes) {
+    auto route = routes_.find(node);
+    if (route == routes_.end() || route->second != &loser) continue;
+    route->second = &winner;
+    if (std::find(winner.routes.begin(), winner.routes.end(), node) == winner.routes.end()) {
+      winner.routes.push_back(node);
     }
   }
-  inbound_.erase(fd);
+  loser.routes.clear();
+  loser.retired = true;
+  // Frames already queued on the loser still leave over it; once they
+  // have, its dialer half-closes it (flush()), the peer answers with its
+  // own close after its last frames, and both ends close on EOF.
+  schedule_flush(loser);
 }
 
-void TcpTransport::inbound_event(int fd, std::uint32_t events) {
-  if (events & EPOLLOUT) {
-    auto it = inbound_.find(fd);
-    if (it == inbound_.end()) return;
-    flush_inbound(*it->second);         // may close the connection on error
-    if (!inbound_.contains(fd)) return;
+void TcpTransport::connection_event(int fd, std::uint32_t events) {
+  auto it = connections_.find(fd);
+  if (it == connections_.end()) return;
+  Connection& connection = *it->second;
+  if (!connection.connected) {
+    int error = 0;
+    socklen_t len = sizeof(error);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &len);
+    if (error != 0 || (events & (EPOLLERR | EPOLLHUP))) {
+      // Connection refused / unreachable: fair-loss drop of everything queued.
+      close_connection(connection);
+      return;
+    }
+    connection.connected = true;
   }
-  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) inbound_ready(fd);
+  if (events & EPOLLOUT) {
+    flush(connection);  // may close the connection on error
+    if (!connections_.contains(fd)) return;
+  }
+  if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) read_ready(connection);
 }
 
-void TcpTransport::inbound_ready(int fd) {
-  auto it = inbound_.find(fd);
-  if (it == inbound_.end()) return;
-  InboundConnection& connection = *it->second;
-
+void TcpTransport::read_ready(Connection& connection) {
+  const int fd = connection.fd;
   for (;;) {
     // Recv straight into the reader's reuse buffer: no intermediate copy,
     // and no allocation once the buffer has warmed up to the connection's
@@ -298,53 +361,36 @@ void TcpTransport::inbound_ready(int fd) {
       connection.reader.commit(static_cast<std::size_t>(n));
       connection.last_activity = loop_.now();
       bool completed_frame = false;
-      bool ok = connection.reader.drain(
-          [&](std::uint32_t sender, std::uint32_t sender_port,
-              std::span<const std::byte> payload) {
-            completed_frame = true;
-            // Learn the sender's return address (self-advertised port, peer
-            // IP from the socket): this is how replicas can answer clients
-            // they were never configured with in multi-process deployments.
-            // Port 0 means the sender has no listener at all — replies to
-            // it go back over this very connection.
-            if (!locals_.contains(sender)) {
-              if (sender_port != 0) {
-                remotes_[sender] =
-                    PeerAddress{connection.peer_host, static_cast<std::uint16_t>(sender_port)};
-              } else {
-                inbound_routes_[sender] = fd;  // newest connection wins
-                auto& routed = connection.route_nodes;
-                if (std::find(routed.begin(), routed.end(), sender) == routed.end()) {
-                  routed.push_back(sender);
-                }
-              }
-            }
-            auto local_it = locals_.find(connection.local_node);
-            if (local_it == locals_.end()) return;
-            try {
-              auto message = msg::decode(payload);
-              ++stats_.messages_delivered;
-              local_it->second->endpoint->deliver(sim::NodeId{sender}, std::move(message));
-            } catch (const CodecError&) {
-              ++stats_.decode_errors;
-            }
-          });
+      bool ok = connection.reader.drain([&](std::uint32_t sender, std::uint32_t sender_port,
+                                            std::uint32_t dest,
+                                            std::span<const std::byte> payload) {
+        completed_frame = true;
+        if (connection.dialer == kNoDest) connection.dialer = sender;  // accepted: first frame
+        learn_route(connection, sender, sender_port);
+        auto local_it = locals_.find(dest == kNoDest ? connection.owner : dest);
+        if (local_it == locals_.end()) return;
+        try {
+          auto message = msg::decode(payload);
+          ++stats_.messages_delivered;
+          local_it->second->endpoint->deliver(sim::NodeId{sender}, std::move(message));
+        } catch (const CodecError&) {
+          ++stats_.decode_errors;
+        }
+      });
       // Half-open tracking: a buffered partial frame starts (or keeps) the
       // eviction clock; completing any frame restarts it — so pipelined
       // bursts are safe while a trickled never-ending frame is not.
       if (!connection.reader.truncated()) {
-        connection.partial_since = InboundConnection::kNoPartial;
-      } else if (completed_frame ||
-                 connection.partial_since == InboundConnection::kNoPartial) {
+        connection.partial_since = Connection::kNoPartial;
+      } else if (completed_frame || connection.partial_since == Connection::kNoPartial) {
         connection.partial_since = loop_.now();
       }
       if (!ok) {
         // Oversized length header: poisoned stream, count and drop it.
         ++stats_.decode_errors;
         ++stats_.oversized_frames;
-        LOG_WARN("tcp", "dropping connection to node ", connection.local_node,
-                 " (oversized frame)");
-        close_inbound(fd, connection);
+        LOG_WARN("tcp", "dropping connection of node ", connection.owner, " (oversized frame)");
+        close_connection(connection);
         return;
       }
       // A short read drained the socket: stop here instead of paying one
@@ -357,89 +403,53 @@ void TcpTransport::inbound_ready(int fd) {
       // Peer closed or reset. Bytes of an unfinished frame mean the stream
       // was cut mid-message: account for the truncated frame.
       if (connection.reader.truncated()) ++stats_.decode_errors;
-      close_inbound(fd, connection);
+      if (n == 0 && !connection.out.empty()) {
+        // A half-close (a retired duplicate): what we still owe the peer
+        // goes out before we close our end.
+        flush(connection);
+        if (!connections_.contains(fd)) return;
+      }
+      close_connection(connection);
       return;
     }
     return;  // EAGAIN: wait for more data
   }
 }
 
-TcpTransport::OutboundConnection* TcpTransport::connect_to(std::uint32_t dest,
-                                                           const PeerAddress& address) {
-  sockaddr_in addr;
-  if (!resolve(address.host, address.port, addr)) return nullptr;
-
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (fd < 0) return nullptr;
-  set_nodelay(fd);
-
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc < 0 && errno != EINPROGRESS) {
-    ::close(fd);
-    return nullptr;
-  }
-
-  auto connection = std::make_unique<OutboundConnection>();
-  connection->fd = fd;
-  connection->dest = dest;
-  connection->connected = (rc == 0);
-  OutboundConnection* raw = connection.get();
-  outbound_[dest] = std::move(connection);
-  loop_.watch(fd, EPOLLOUT, [this, dest](std::uint32_t events) { outbound_ready(dest, events); });
-  return raw;
-}
-
-void TcpTransport::drop_outbound(std::uint32_t dest) {
-  auto it = outbound_.find(dest);
-  if (it == outbound_.end()) return;
-  if (it->second->fd >= 0) {
-    loop_.unwatch(it->second->fd);
-    ::close(it->second->fd);
-  }
-  outbound_.erase(it);
-}
-
-void TcpTransport::outbound_ready(std::uint32_t dest, std::uint32_t events) {
-  auto it = outbound_.find(dest);
-  if (it == outbound_.end()) return;
-  OutboundConnection& connection = *it->second;
-
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    // Connection refused / reset: fair-loss drop of everything queued.
-    drop_outbound(dest);
-    return;
-  }
-  if (!connection.connected) {
-    int error = 0;
-    socklen_t len = sizeof(error);
-    ::getsockopt(connection.fd, SOL_SOCKET, SO_ERROR, &error, &len);
-    if (error != 0) {
-      drop_outbound(dest);
-      return;
+void TcpTransport::close_connection(Connection& connection) {
+  const int fd = connection.fd;
+  loop_.unwatch(fd);
+  ::close(fd);
+  // Drop the routes that still point here (another connection may have
+  // taken some over — leave those alone); the next send re-dials.
+  for (std::uint32_t node : connection.routes) {
+    if (auto route = routes_.find(node); route != routes_.end() && route->second == &connection) {
+      routes_.erase(route);
     }
-    connection.connected = true;
   }
-  flush(connection);
+  if (connection.accepted) --accepted_open_;
+  connections_.erase(fd);
 }
 
-void TcpTransport::schedule_flush(OutboundConnection& connection) {
+void TcpTransport::schedule_flush(Connection& connection) {
   // Coalescing point: every send during this loop iteration appends to the
   // pending queue, and one deferred flush writes them all with a single
-  // sendmsg. The deferred task re-resolves the connection by destination —
-  // it may have been dropped (or dropped and re-established) before the
-  // end of the iteration.
+  // sendmsg. The deferred task re-resolves the connection by fd — it may
+  // have been closed (and the fd recycled) before the end of the
+  // iteration, in which case flushing the new connection's queue early is
+  // harmless.
   if (connection.flush_scheduled) return;
   connection.flush_scheduled = true;
-  std::uint32_t dest = connection.dest;
-  loop_.defer([this, dest] {
-    auto it = outbound_.find(dest);
-    if (it == outbound_.end()) return;
+  const int fd = connection.fd;
+  loop_.defer([this, fd] {
+    auto it = connections_.find(fd);
+    if (it == connections_.end()) return;
     it->second->flush_scheduled = false;
     if (it->second->connected) flush(*it->second);
   });
 }
 
-void TcpTransport::flush(OutboundConnection& connection) {
+void TcpTransport::flush(Connection& connection) {
   while (!connection.out.empty()) {
     iovec iov[kMaxFlushIov];
     std::size_t n_iov = connection.out.fill_iovec(iov, kMaxFlushIov);
@@ -450,56 +460,22 @@ void TcpTransport::flush(OutboundConnection& connection) {
     if (n > 0) {
       ++stats_.write_syscalls;
       connection.out.consume(static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      loop_.modify(connection.fd, EPOLLOUT);
-      return;
-    }
-    drop_outbound(connection.dest);  // invalidates `connection`
-    return;
-  }
-  // Fully flushed: only wake on errors until there is more to send.
-  loop_.modify(connection.fd, 0);
-}
-
-void TcpTransport::schedule_inbound_flush(InboundConnection& connection) {
-  // Same write-coalescing shape as outbound: replies queued during one
-  // loop iteration leave in a single sendmsg. The deferred task re-resolves
-  // the connection by fd — it may have been closed (and the fd recycled)
-  // before the end of the iteration, in which case flushing the new
-  // connection's (empty) queue is a harmless no-op.
-  if (connection.flush_scheduled) return;
-  connection.flush_scheduled = true;
-  int fd = connection.fd;
-  loop_.defer([this, fd] {
-    auto it = inbound_.find(fd);
-    if (it == inbound_.end()) return;
-    it->second->flush_scheduled = false;
-    flush_inbound(*it->second);
-  });
-}
-
-void TcpTransport::flush_inbound(InboundConnection& connection) {
-  while (!connection.out.empty()) {
-    iovec iov[kMaxFlushIov];
-    std::size_t n_iov = connection.out.fill_iovec(iov, kMaxFlushIov);
-    msghdr header{};
-    header.msg_iov = iov;
-    header.msg_iovlen = n_iov;
-    ssize_t n = ::sendmsg(connection.fd, &header, MSG_NOSIGNAL);
-    if (n > 0) {
-      ++stats_.write_syscalls;
-      connection.out.consume(static_cast<std::size_t>(n));
+      connection.last_activity = loop_.now();
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       loop_.modify(connection.fd, EPOLLIN | EPOLLOUT);
       return;
     }
-    close_inbound(connection.fd, connection);  // peer gone; invalidates `connection`
+    close_connection(connection);  // peer gone; invalidates `connection`
     return;
   }
+  if (connection.retired && !connection.accepted && !connection.write_shut) {
+    // A drained duplicate we dialed: tell the peer we are done with it.
+    ::shutdown(connection.fd, SHUT_WR);
+    connection.write_shut = true;
+  }
+  // Fully flushed: only wake for reads until there is more to send.
   loop_.modify(connection.fd, EPOLLIN);
 }
 
@@ -522,12 +498,13 @@ void TcpTransport::arm_sweep() {
 
 void TcpTransport::sweep_connections() {
   const Time now = loop_.now();
-  // Two-phase: collect first, then evict — close_inbound mutates inbound_.
+  // Two-phase: collect first, then evict — close_connection mutates
+  // connections_.
   std::vector<int> half_open;
   std::vector<int> idle;
-  for (const auto& [fd, connection] : inbound_) {
+  for (const auto& [fd, connection] : connections_) {
     if (config_.half_open_timeout > 0 &&
-        connection->partial_since != InboundConnection::kNoPartial &&
+        connection->partial_since != Connection::kNoPartial &&
         now - connection->partial_since >= config_.half_open_timeout) {
       half_open.push_back(fd);
     } else if (config_.idle_timeout > 0 &&
@@ -536,36 +513,32 @@ void TcpTransport::sweep_connections() {
     }
   }
   for (int fd : half_open) {
-    if (auto it = inbound_.find(fd); it != inbound_.end()) {
+    if (auto it = connections_.find(fd); it != connections_.end()) {
       ++stats_.half_open_evictions;
       ++stats_.decode_errors;  // the trickled frame dies truncated
-      close_inbound(fd, *it->second);
+      close_connection(*it->second);
     }
   }
   for (int fd : idle) {
-    if (auto it = inbound_.find(fd); it != inbound_.end()) {
+    if (auto it = connections_.find(fd); it != connections_.end()) {
       ++stats_.idle_evictions;
-      close_inbound(fd, *it->second);
+      close_connection(*it->second);
     }
   }
 }
 
 std::size_t TcpTransport::pending_write_bytes() const {
   std::size_t total = 0;
-  for (const auto& [dest, connection] : outbound_) total += connection->out.total_bytes;
-  for (const auto& [fd, connection] : inbound_) total += connection->out.total_bytes;
+  for (const auto& [fd, connection] : connections_) total += connection->out.total_bytes;
   return total;
 }
 
 TransportMemory TcpTransport::memory() const {
   TransportMemory memory;
-  memory.inbound_connections = inbound_.size();
-  memory.outbound_connections = outbound_.size();
-  for (const auto& [fd, connection] : inbound_) {
+  memory.inbound_connections = inbound_connections();
+  memory.outbound_connections = outbound_connections();
+  for (const auto& [fd, connection] : connections_) {
     memory.inbound_buffer_bytes += connection->reader.capacity();
-    memory.pending_write_bytes += connection->out.total_bytes;
-  }
-  for (const auto& [dest, connection] : outbound_) {
     memory.pending_write_bytes += connection->out.total_bytes;
   }
   return memory;
@@ -573,55 +546,17 @@ TransportMemory TcpTransport::memory() const {
 
 void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr message) {
   const auto* typed = dynamic_cast<const msg::Message*>(message.get());
-  if (typed == nullptr) {
-    ++stats_.dropped;
-    return;
-  }
-
-  std::uint32_t sender_port_adv = 0;
-  if (auto sender_it = locals_.find(from.value); sender_it != locals_.end()) {
-    sender_port_adv = sender_it->second->port;
-  }
-
-  PeerAddress address;
-  if (auto it = locals_.find(to.value); it != locals_.end()) {
-    address = PeerAddress{"127.0.0.1", it->second->port};
-  } else if (auto remote = remotes_.find(to.value); remote != remotes_.end()) {
-    address = remote->second;
-  }
-  if (address.port == 0) {
-    // Not dialable — but a listener-less peer (port-0 frames) may have an
-    // inbound connection we can answer over.
-    if (auto route = inbound_routes_.find(to.value); route != inbound_routes_.end()) {
-      if (auto conn_it = inbound_.find(route->second); conn_it != inbound_.end()) {
-        InboundConnection& connection = *conn_it->second;
-        std::vector<std::byte> frame =
-            encode_frame(from.value, sender_port_adv, typed->encode());
-        if (connection.out.total_bytes + frame.size() > config_.max_pending_write_bytes) {
-          ++stats_.send_queue_overflows;
-          ++stats_.dropped;
-          return;
-        }
-        stats_.messages_sent += 1;
-        stats_.bytes_sent += frame.size();
-        connection.out.push(std::move(frame));
-        schedule_inbound_flush(connection);
-        return;
-      }
-    }
-    ++stats_.dropped;
-    return;
-  }
-
-  auto it = outbound_.find(to.value);
-  OutboundConnection* connection =
-      it != outbound_.end() ? it->second.get() : connect_to(to.value, address);
+  Connection* connection = typed == nullptr ? nullptr : route_to(from.value, to.value);
   if (connection == nullptr) {
     ++stats_.dropped;
     return;
   }
 
-  std::vector<std::byte> frame = encode_frame(from.value, sender_port_adv, typed->encode());
+  std::uint32_t sender_port = 0;
+  if (auto sender_it = locals_.find(from.value); sender_it != locals_.end()) {
+    sender_port = sender_it->second->port;
+  }
+  std::vector<std::byte> frame = frame_message(*typed, from.value, sender_port, to.value);
   if (connection->out.total_bytes + frame.size() > config_.max_pending_write_bytes) {
     // The peer stopped draining: shed this frame (fair loss) rather than
     // buffer without bound.
@@ -632,9 +567,12 @@ void TcpTransport::send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr messag
   stats_.messages_sent += 1;
   stats_.bytes_sent += frame.size();
   connection->out.push(std::move(frame));
-  if (connection->connected) schedule_flush(*connection);
-  // Not yet connected: the EPOLLOUT watcher flushes once the connect
+  // A dialed connection's first frame names its dialer, exactly as the
+  // peer will read it.
+  if (connection->dialer == kNoDest) connection->dialer = from.value;
+  // Not yet connected: connection_event() flushes once the connect
   // completes.
+  if (connection->connected) schedule_flush(*connection);
 }
 
 }  // namespace idem::rpc

@@ -1,21 +1,30 @@
 // Real TCP transport implementing sim::Transport.
 //
-// Every registered node gets its own listener; send() lazily opens one
-// outgoing connection per destination node and writes length-prefixed
-// frames (rpc/framing.hpp) carrying consensus::messages encodings.
-// Connections are unidirectional by default: replies travel over the
-// peer's own outgoing connection to our listener, mirroring how the
-// protocols treat links as independent fair-loss channels. Peers without
-// a listener of their own (storm clients multiplexing thousands of
-// sessions) advertise sender-port 0 in their frames, and replies to them
-// are routed back over the same inbound connection instead — one socket
-// per session instead of a listener plus a dial-back each.
+// Every registered node gets its own listener. Traffic between two
+// transports shares one duplex connection, which either end may dial:
+// frames (rpc/framing.hpp) carry their sender and destination node ids,
+// so the connection serves every node at both ends in both directions.
+// One route table maps each remote node to its connection. Dialing fills
+// it for the dialed node; every frame that arrives fills it for its
+// sender (except senders hosted on this transport), so a reply to any
+// sender — a replica peer, a co-located client, a listener-less storm
+// session advertising sender-port 0 — goes back over the connection the
+// request came in on. A send dials only when no route exists. Sharing
+// the connection is what lets a data segment carry the ACK for the
+// other direction, and lets the replies to co-located clients leave in
+// one sendmsg instead of one connection each.
+//
+// When both ends dial at once, both keep the connection dialed by the
+// lower node id (the sender of its first frame): the other one is
+// retired — its routes move to the winner, its queued frames still
+// flush, then its dialer half-closes it and both ends close it once the
+// other side has finished too, so no queued frame is lost.
 //
 // Failure semantics match the protocols' fair-loss assumption: a send to
 // an unknown, crashed or unreachable node is silently dropped (and
-// counted); a broken connection is torn down and re-established on the
-// next send. Malformed inbound streams (oversized length headers,
-// connections closed mid-frame) are counted in TransportStats::
+// counted); a broken connection is torn down, its routes dropped, and
+// the next send re-dials. Malformed inbound streams (oversized length
+// headers, connections closed mid-frame) are counted in TransportStats::
 // decode_errors and the connection is dropped.
 //
 // Addressing: nodes on this transport bind `listen_host` (loopback by
@@ -56,18 +65,18 @@ struct TransportStats {
   std::uint64_t send_queue_overflows = 0;  ///< frames dropped because a
                                            ///< connection's pending-write
                                            ///< queue hit its byte bound
-  std::uint64_t accepted_connections = 0;  ///< inbound connections accepted
+  std::uint64_t accepted_connections = 0;  ///< connections accepted
   std::uint64_t oversized_frames = 0;      ///< connections dropped for a frame
                                            ///< over max_frame_bytes (also
                                            ///< counted in decode_errors)
-  std::uint64_t connection_limit_sheds = 0;  ///< inbound connections closed at
-                                             ///< accept because the connection
+  std::uint64_t connection_limit_sheds = 0;  ///< accepted connections closed at
+                                             ///< once because the connection
                                              ///< cap was reached
                                              ///< (RejectReason::ConnectionLimit)
-  std::uint64_t idle_evictions = 0;       ///< inbound connections evicted for
-                                          ///< sending nothing for idle_timeout
-  std::uint64_t half_open_evictions = 0;  ///< inbound connections evicted for
-                                          ///< holding a partial frame past
+  std::uint64_t idle_evictions = 0;       ///< connections evicted for moving no
+                                          ///< bytes either way for idle_timeout
+  std::uint64_t half_open_evictions = 0;  ///< connections evicted for holding
+                                          ///< a partial frame past
                                           ///< half_open_timeout (slow loris)
 };
 
@@ -76,10 +85,10 @@ struct TransportStats {
 /// bytes are capacities (what the process actually holds), not fill
 /// levels, so a storm of mostly-idle connections is charged honestly.
 struct TransportMemory {
-  std::size_t inbound_connections = 0;
-  std::size_t outbound_connections = 0;
+  std::size_t inbound_connections = 0;   ///< open connections we accepted
+  std::size_t outbound_connections = 0;  ///< open connections we dialed
   std::size_t inbound_buffer_bytes = 0;   ///< receive-buffer capacity across
-                                          ///< inbound connections
+                                          ///< all connections (both kinds read)
   std::size_t pending_write_bytes = 0;    ///< unsent bytes queued across all
                                           ///< connections (both directions)
 
@@ -164,24 +173,24 @@ struct TcpTransportConfig {
   /// continuation between bursts, so accepting thousands of connections
   /// never starves the established connections' I/O or due timers.
   std::size_t accept_burst = 256;
-  /// Cap on concurrently open inbound connections across the transport
+  /// Cap on concurrently open accepted connections across the transport
   /// (0 = unlimited). At the cap, newly accepted connections are closed
   /// immediately — an early shed the peer observes as a reset, counted in
   /// TransportStats::connection_limit_sheds and classified as
   /// RejectReason::ConnectionLimit in telemetry.
   std::size_t max_inbound_connections = 0;
-  /// Initial receive-buffer capacity per inbound connection (also the
-  /// recv chunk size). The default suits a handful of replica peers;
-  /// servers expecting thousands of small-frame client connections shrink
-  /// it so per-connection memory stays bounded. Buffers still grow on
-  /// demand up to max_frame_bytes.
+  /// Initial receive-buffer capacity per connection (also the recv chunk
+  /// size). The default suits a handful of replica peers; servers
+  /// expecting thousands of small-frame client connections shrink it so
+  /// per-connection memory stays bounded. Buffers still grow on demand up
+  /// to max_frame_bytes.
   std::size_t read_buffer_bytes = kReadChunkBytes;
-  /// Evict an inbound connection that has sent nothing for this long
-  /// (0 = never). Off by default: replica peers are legitimately silent
-  /// between bursts. Client-facing servers enable it to reclaim
-  /// connections from hosts that connect and hold.
+  /// Evict a connection that has moved no bytes in either direction for
+  /// this long (0 = never). Off by default: replica peers are
+  /// legitimately silent between bursts. Client-facing servers enable it
+  /// to reclaim connections from hosts that connect and hold.
   Duration idle_timeout = 0;
-  /// Evict an inbound connection that has held an incomplete frame for
+  /// Evict a connection that has held an incomplete inbound frame for
   /// this long (0 = never) — the slow-loris defence: trickling one byte
   /// per second through a frame does not reset the clock, only a
   /// completed frame does.
@@ -203,8 +212,9 @@ class TcpTransport final : public sim::Transport {
   /// Registers a local node: binds a listener on `listen_host` (ephemeral
   /// port; query it with port_of).
   void add_node(sim::NodeId id, sim::NodeKind kind, sim::Endpoint* endpoint) override;
-  /// Unregisters a node: closes its listener and all its connections
-  /// (peers see resets/refusals — exactly what a crash looks like).
+  /// Unregisters a node: closes its listener and the connections it
+  /// accepted (peers see resets/refusals — exactly what a crash looks
+  /// like). Connections it dialed are the transport's and stay open.
   void remove_node(sim::NodeId id) override;
   void send(sim::NodeId from, sim::NodeId to, sim::PayloadPtr message) override;
 
@@ -222,33 +232,31 @@ class TcpTransport final : public sim::Transport {
 
   const TransportStats& stats() const { return stats_; }
 
-  /// Bytes queued but not yet written across all outbound connections —
-  /// the live backpressure signal (admin /stats).
+  /// Bytes queued but not yet written across all connections — the live
+  /// backpressure signal (admin /stats).
   std::size_t pending_write_bytes() const;
 
-  /// Open connection counts (admin /stats).
-  std::size_t inbound_connections() const { return inbound_.size(); }
-  std::size_t outbound_connections() const { return outbound_.size(); }
+  /// Open connection counts by who dialed them (admin /stats).
+  std::size_t inbound_connections() const { return accepted_open_; }
+  std::size_t outbound_connections() const { return connections_.size() - accepted_open_; }
 
   /// Per-connection memory accounting (admin /stats, /metrics gauges).
   TransportMemory memory() const;
 
  private:
   struct LocalNode;
-  struct InboundConnection;
-  struct OutboundConnection;
+  struct Connection;
 
   void accept_ready(LocalNode& node);
-  void inbound_event(int fd, std::uint32_t events);
-  void inbound_ready(int fd);
-  void close_inbound(int fd, InboundConnection& connection);
-  void outbound_ready(std::uint32_t dest, std::uint32_t events);
-  OutboundConnection* connect_to(std::uint32_t dest, const PeerAddress& address);
-  void drop_outbound(std::uint32_t dest);
-  void schedule_flush(OutboundConnection& connection);
-  void flush(OutboundConnection& connection);
-  void schedule_inbound_flush(InboundConnection& connection);
-  void flush_inbound(InboundConnection& connection);
+  Connection& add_connection(int fd, bool accepted, std::uint32_t owner, std::string peer_host);
+  Connection* route_to(std::uint32_t from, std::uint32_t to);
+  void learn_route(Connection& connection, std::uint32_t sender, std::uint32_t sender_port);
+  void retire(Connection& loser, Connection& winner);
+  void connection_event(int fd, std::uint32_t events);
+  void read_ready(Connection& connection);
+  void close_connection(Connection& connection);
+  void schedule_flush(Connection& connection);
+  void flush(Connection& connection);
   void arm_sweep();
   void sweep_connections();
 
@@ -257,11 +265,12 @@ class TcpTransport final : public sim::Transport {
   bool fixed_port_used_ = false;
   std::unordered_map<std::uint32_t, std::unique_ptr<LocalNode>> locals_;
   std::unordered_map<std::uint32_t, PeerAddress> remotes_;
-  std::unordered_map<std::uint32_t, std::unique_ptr<OutboundConnection>> outbound_;
-  std::unordered_map<int, std::unique_ptr<InboundConnection>> inbound_;
-  /// Listener-less senders (frames advertising port 0): node id → the
-  /// inbound fd whose connection replies to that node travel back over.
-  std::unordered_map<std::uint32_t, int> inbound_routes_;
+  /// Every open connection, dialed or accepted, by fd.
+  std::unordered_map<int, std::unique_ptr<Connection>> connections_;
+  std::size_t accepted_open_ = 0;
+  std::uint64_t next_serial_ = 0;
+  /// Remote node id → the connection frames to it travel over.
+  std::unordered_map<std::uint32_t, Connection*> routes_;
   sim::EventId sweep_timer_;
   TransportStats stats_;
 };

@@ -14,8 +14,10 @@
 #include <memory>
 #include <new>
 
+#include "consensus/messages.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "rpc/framing.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
@@ -227,6 +229,35 @@ TEST(AllocationBudget, ObsHotPathIsAllocationFree) {
   EXPECT_GT(recorder.overwritten(), 0u);  // the ring wrapped and kept going
   EXPECT_EQ(registry.rows(), 512u);
   EXPECT_EQ(registry.current("accepted"), 8192.0);
+}
+
+TEST(AllocationBudget, FramingAMessageIsOneAllocation) {
+  // The transport's send path: a message encodes straight into its frame
+  // buffer behind the reserved header. With the wire size cached (every
+  // send path asks for it first) that buffer is exactly sized — one
+  // allocation per frame, no intermediate payload vector.
+  const msg::Request request(RequestId{ClientId{7}, OpNum{3}},
+                             std::vector<std::byte>(300, std::byte{0x5A}));
+  msg::Propose propose;
+  propose.view = ViewId{1};
+  propose.sqn = SeqNum{2};
+  propose.ids.assign(40, RequestId{ClientId{9}, OpNum{1}});
+  const std::size_t request_size = request.wire_size();
+  const std::size_t propose_size = propose.wire_size();
+
+  std::vector<std::byte> request_frame, propose_frame;
+  {
+    CountingGuard guard;
+    request_frame = rpc::frame_message(request, 1'000'007, 0, 0);
+    EXPECT_EQ(guard.count(), 1u) << "REQUEST frame";
+  }
+  {
+    CountingGuard guard;
+    propose_frame = rpc::frame_message(propose, 0, 9100, 1);
+    EXPECT_EQ(guard.count(), 1u) << "PROPOSE frame";
+  }
+  EXPECT_EQ(request_frame.size(), rpc::kFrameHeaderBytes + request_size);
+  EXPECT_EQ(propose_frame.size(), rpc::kFrameHeaderBytes + propose_size);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <optional>
+#include <set>
 
 #include "app/kv_store.hpp"
 #include "idem/acceptance.hpp"
@@ -69,7 +70,7 @@ TEST(FramingTest, RoundTripSingleFrame) {
   auto frame = rpc::encode_frame(42, 9999, payload);
   rpc::FrameReader reader;
   int frames = 0;
-  ASSERT_TRUE(reader.feed(frame, [&](std::uint32_t sender, std::uint32_t sender_port,
+  ASSERT_TRUE(reader.feed(frame, [&](std::uint32_t sender, std::uint32_t sender_port, std::uint32_t,
                                      std::span<const std::byte> body) {
     ++frames;
     EXPECT_EQ(sender, 42u);
@@ -89,7 +90,9 @@ TEST(FramingTest, ReassemblesSplitFrames) {
   for (std::size_t i = 0; i < frame.size(); ++i) {
     ASSERT_TRUE(reader.feed(
         std::span<const std::byte>(&frame[i], 1),
-        [&](std::uint32_t, std::uint32_t, std::span<const std::byte>) { ++frames; }));
+        [&](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {
+          ++frames;
+        }));
   }
   EXPECT_EQ(frames, 1);
 }
@@ -102,7 +105,7 @@ TEST(FramingTest, MultipleFramesPerRead) {
   rpc::FrameReader reader;
   std::vector<std::uint32_t> senders;
   ASSERT_TRUE(reader.feed(
-      both, [&](std::uint32_t sender, std::uint32_t, std::span<const std::byte>) {
+      both, [&](std::uint32_t sender, std::uint32_t, std::uint32_t, std::span<const std::byte>) {
         senders.push_back(sender);
       }));
   EXPECT_EQ(senders, (std::vector<std::uint32_t>{1, 2}));
@@ -116,13 +119,15 @@ TEST(FramingTest, RejectsOversizedFrame) {
   bogus[3] = std::byte{0xFF};  // length = 4 GiB
   rpc::FrameReader reader;
   EXPECT_FALSE(reader.feed(
-      bogus, [](std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
+      bogus, [](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
   EXPECT_EQ(reader.error(), rpc::FrameReader::Error::Oversized);
   // The stream is poisoned: further feeds fail without invoking the callback.
   int frames = 0;
   auto good = rpc::encode_frame(1, 0, test::put_cmd("k", "v"));
   EXPECT_FALSE(reader.feed(
-      good, [&](std::uint32_t, std::uint32_t, std::span<const std::byte>) { ++frames; }));
+      good, [&](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {
+        ++frames;
+      }));
   EXPECT_EQ(frames, 0);
 }
 
@@ -131,7 +136,7 @@ TEST(FramingTest, ConfigurableBoundRejectsJustAboveLimit) {
   std::vector<std::byte> payload(17, std::byte{0xAB});
   auto frame = rpc::encode_frame(3, 0, payload);
   EXPECT_FALSE(reader.feed(
-      frame, [](std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
+      frame, [](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
   EXPECT_EQ(reader.error(), rpc::FrameReader::Error::Oversized);
 
   // At the limit the frame passes.
@@ -140,7 +145,7 @@ TEST(FramingTest, ConfigurableBoundRejectsJustAboveLimit) {
   int frames = 0;
   EXPECT_TRUE(ok_reader.feed(
       rpc::encode_frame(3, 0, fitting),
-      [&](std::uint32_t, std::uint32_t, std::span<const std::byte> body) {
+      [&](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte> body) {
         ++frames;
         EXPECT_EQ(body.size(), 16u);
       }));
@@ -152,14 +157,54 @@ TEST(FramingTest, ReportsTruncatedStream) {
   rpc::FrameReader reader;
   EXPECT_FALSE(reader.truncated());
   // Feed all but the last byte: a peer closing now left a frame in flight.
-  ASSERT_TRUE(reader.feed(std::span<const std::byte>(frame.data(), frame.size() - 1),
-                          [](std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
+  auto ignore = [](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {};
+  ASSERT_TRUE(reader.feed(std::span<const std::byte>(frame.data(), frame.size() - 1), ignore));
   EXPECT_TRUE(reader.truncated());
   // The final byte completes the frame; nothing is left buffered.
-  ASSERT_TRUE(reader.feed(std::span<const std::byte>(frame.data() + frame.size() - 1, 1),
-                          [](std::uint32_t, std::uint32_t, std::span<const std::byte>) {}));
+  ASSERT_TRUE(reader.feed(std::span<const std::byte>(frame.data() + frame.size() - 1, 1), ignore));
   EXPECT_FALSE(reader.truncated());
   EXPECT_EQ(reader.error(), rpc::FrameReader::Error::None);
+}
+
+TEST(FramingTest, DestinationRoundTrips) {
+  auto payload = test::put_cmd("k", "v");
+  std::vector<std::uint32_t> dests;
+  auto collect = [&](std::uint32_t sender, std::uint32_t sender_port, std::uint32_t dest,
+                     std::span<const std::byte> body) {
+    EXPECT_EQ(sender, 42u);
+    EXPECT_EQ(sender_port, 9999u);
+    EXPECT_TRUE(std::equal(body.begin(), body.end(), payload.begin(), payload.end()));
+    dests.push_back(dest);
+  };
+  rpc::FrameReader reader;
+  ASSERT_TRUE(reader.feed(rpc::encode_frame(42, 9999, payload, 7), collect));
+  ASSERT_TRUE(reader.feed(rpc::encode_frame(42, 9999, payload), collect));
+  EXPECT_EQ(dests, (std::vector<std::uint32_t>{7, rpc::kNoDest}));
+
+  // frame_message encodes the message behind the header: same bytes as
+  // framing the message's own encoding.
+  const msg::Reject reject(RequestId{ClientId{5}, OpNum{9}});
+  auto framed = rpc::frame_message(reject, 3, 0, 11);
+  EXPECT_EQ(framed, rpc::encode_frame(3, 0, reject.encode(), 11));
+  EXPECT_EQ(framed.size(), rpc::kFrameHeaderBytes + reject.wire_size());
+}
+
+TEST(FramingTest, PartialHeaderYieldsNothing) {
+  auto frame = rpc::encode_frame(5, 0, test::put_cmd("key", "value"), 2);
+  rpc::FrameReader reader;
+  int frames = 0;
+  auto count = [&](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {
+    ++frames;
+  };
+  // One byte short of a full header: no frame, no error, all buffered.
+  ASSERT_TRUE(reader.feed(std::span<const std::byte>(frame).first(rpc::kFrameHeaderBytes - 1),
+                          count));
+  EXPECT_EQ(frames, 0);
+  EXPECT_EQ(reader.error(), rpc::FrameReader::Error::None);
+  EXPECT_EQ(reader.buffered(), rpc::kFrameHeaderBytes - 1);
+  ASSERT_TRUE(
+      reader.feed(std::span<const std::byte>(frame).subspan(rpc::kFrameHeaderBytes - 1), count));
+  EXPECT_EQ(frames, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,7 +553,8 @@ TEST(TcpTransportTest, RepliesRouteOverTheInboundConnection) {
   ASSERT_GT(n, 0);
   std::size_t frames = 0;
   reader.feed(std::as_bytes(std::span(buf, static_cast<std::size_t>(n))),
-              [&](std::uint32_t sender, std::uint32_t, std::span<const std::byte> payload) {
+              [&](std::uint32_t sender, std::uint32_t, std::uint32_t,
+                  std::span<const std::byte> payload) {
                 ++frames;
                 EXPECT_EQ(sender, 1u);
                 auto message = msg::decode(payload);
@@ -520,13 +566,324 @@ TEST(TcpTransportTest, RepliesRouteOverTheInboundConnection) {
   ::close(fd);
 }
 
+TEST(TcpTransportTest, NoDestFrameReachesTheListenersNode) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  CollectingEndpoint a, b;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+  transport.add_node(sim::NodeId{2}, sim::NodeKind::Replica, &b);
+
+  // Over node 2's listener: a kNoDest frame (a storm session's) lands at
+  // node 2, a frame addressed to node 1 lands at node 1.
+  int fd = connect_raw(transport.port_of(sim::NodeId{2}));
+  const auto payload = msg::Reject{RequestId{ClientId{1}, OpNum{1}}}.encode();
+  auto to_listener = rpc::encode_frame(1'000'001, 0, payload);
+  auto to_one = rpc::encode_frame(1'000'001, 0, payload, 1);
+  ASSERT_EQ(::write(fd, to_listener.data(), to_listener.size()),
+            static_cast<ssize_t>(to_listener.size()));
+  ASSERT_EQ(::write(fd, to_one.data(), to_one.size()), static_cast<ssize_t>(to_one.size()));
+  loop.run_for(100 * kMillisecond);
+
+  EXPECT_EQ(a.received.size(), 1u);
+  EXPECT_EQ(b.received.size(), 1u);
+  ::close(fd);
+}
+
+namespace {
+
+/// A small, numbered message for the transport tests.
+std::shared_ptr<const msg::Reject> reject_of(std::uint64_t cid, std::uint64_t onr) {
+  return std::make_shared<const msg::Reject>(RequestId{ClientId{cid}, OpNum{onr}});
+}
+
+std::uint64_t onr_of(const sim::PayloadPtr& message) {
+  return dynamic_cast<const msg::Reject&>(*message).id.onr.value;
+}
+
+}  // namespace
+
+TEST(TcpTransportTest, DuplexTrafficSharesOneConnection) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport left(loop), right(loop);
+  CollectingEndpoint a, b;
+  left.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+  right.add_node(sim::NodeId{2}, sim::NodeKind::Replica, &b);
+  left.set_remote(sim::NodeId{2}, right.port_of(sim::NodeId{2}));
+  right.set_remote(sim::NodeId{1}, left.port_of(sim::NodeId{1}));
+
+  for (std::uint64_t round = 1; round <= 5; ++round) {
+    left.send(sim::NodeId{1}, sim::NodeId{2}, reject_of(1, round));
+    loop.run_for(20 * kMillisecond);
+    right.send(sim::NodeId{2}, sim::NodeId{1}, reject_of(2, round));
+    loop.run_for(20 * kMillisecond);
+  }
+
+  EXPECT_EQ(a.received.size(), 5u);
+  EXPECT_EQ(b.received.size(), 5u);
+  // Node 1 dialed; node 2 answered over the accepted connection instead
+  // of dialing node 1's listener.
+  EXPECT_EQ(left.outbound_connections(), 1u);
+  EXPECT_EQ(left.inbound_connections(), 0u);
+  EXPECT_EQ(right.outbound_connections(), 0u);
+  EXPECT_EQ(right.inbound_connections(), 1u);
+}
+
+TEST(TcpTransportTest, SimultaneousDialsConvergeOnTheLowerIdsConnection) {
+  // One loop per end, run in turns, so the race is staged exactly.
+  rpc::EventLoop left_loop, right_loop;
+  rpc::TcpTransport left(left_loop), right(right_loop);
+  CollectingEndpoint a, b;
+  left.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+  right.add_node(sim::NodeId{2}, sim::NodeKind::Replica, &b);
+  left.set_remote(sim::NodeId{2}, right.port_of(sim::NodeId{2}));
+  right.set_remote(sim::NodeId{1}, left.port_of(sim::NodeId{1}));
+  auto request_of = [](std::uint64_t cid, std::uint64_t onr) {
+    return std::make_shared<const msg::Request>(RequestId{ClientId{cid}, OpNum{onr}},
+                                                std::vector<std::byte>(2048, std::byte{0x42}));
+  };
+  auto run_both = [&](Duration each) {
+    right_loop.run_for(each);
+    left_loop.run_for(each);
+  };
+
+  // Both first sends happen before either end has heard from the other:
+  // each end dials its own connection.
+  left.send(sim::NodeId{1}, sim::NodeId{2}, request_of(1, 1));
+  right.send(sim::NodeId{2}, sim::NodeId{1}, request_of(2, 1));
+  ASSERT_EQ(left.outbound_connections(), 1u);
+  ASSERT_EQ(right.outbound_connections(), 1u);
+  left_loop.run_for(20 * kMillisecond);  // node 1's frame is on its way
+
+  // Node 2 queues far more than the socket buffers hold before it reads
+  // node 1's frame, so the connection it then retires still holds queued
+  // frames.
+  constexpr std::uint64_t kFrames = 2000;
+  for (std::uint64_t onr = 2; onr <= kFrames; ++onr) {
+    right.send(sim::NodeId{2}, sim::NodeId{1}, request_of(2, onr));
+  }
+  right_loop.run_for(20 * kMillisecond);
+  ASSERT_EQ(b.received.size(), 1u);  // node 1's frame arrived: node 2 switched
+  ASSERT_GT(right.pending_write_bytes(), 0u);
+
+  for (int turn = 0; turn < 400 && a.received.size() < kFrames; ++turn) {
+    run_both(2 * kMillisecond);
+  }
+  run_both(50 * kMillisecond);
+  run_both(50 * kMillisecond);
+
+  // No frame lost while the duplicate was retired...
+  ASSERT_EQ(a.received.size(), kFrames);
+  std::set<std::uint64_t> onrs;
+  for (const auto& [from, message] : a.received) {
+    onrs.insert(dynamic_cast<const msg::Request&>(*message).id.onr.value);
+  }
+  EXPECT_EQ(onrs.size(), kFrames);
+  EXPECT_EQ(left.stats().dropped + right.stats().dropped, 0u);
+  // ...and both ends kept the connection node 1 dialed.
+  EXPECT_EQ(left.outbound_connections(), 1u);
+  EXPECT_EQ(left.inbound_connections(), 0u);
+  EXPECT_EQ(right.outbound_connections(), 0u);
+  EXPECT_EQ(right.inbound_connections(), 1u);
+
+  // It carries traffic both ways.
+  left.send(sim::NodeId{1}, sim::NodeId{2}, reject_of(1, 1));
+  right.send(sim::NodeId{2}, sim::NodeId{1}, reject_of(2, 1));
+  run_both(20 * kMillisecond);
+  run_both(20 * kMillisecond);
+  EXPECT_EQ(a.received.size(), kFrames + 1);
+  EXPECT_EQ(b.received.size(), 2u);
+  EXPECT_EQ(left.outbound_connections() + left.inbound_connections(), 1u);
+}
+
+TEST(TcpTransportTest, RetiredDuplicateStillDeliversWhatWasQueuedOnIt) {
+  // A replica dials a client process (node 100) while another client of
+  // that process (node 101) dials the replica. The client side keeps the
+  // replica's connection (lower dialer id) and half-closes its own; a
+  // reply the replica had already queued on that one must still arrive.
+  rpc::EventLoop client_loop, server_loop;
+  rpc::TcpTransport clients(client_loop), server(server_loop);
+  CollectingEndpoint c100, c101, replica;
+  clients.add_node(sim::NodeId{100}, sim::NodeKind::Client, &c100);
+  clients.add_node(sim::NodeId{101}, sim::NodeKind::Client, &c101);
+  server.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &replica);
+  clients.set_remote(sim::NodeId{1}, server.port_of(sim::NodeId{1}));
+  server.set_remote(sim::NodeId{100}, clients.port_of(sim::NodeId{100}));
+
+  server.send(sim::NodeId{1}, sim::NodeId{100}, reject_of(100, 1));
+  clients.send(sim::NodeId{101}, sim::NodeId{1}, reject_of(101, 1));
+  client_loop.run_for(20 * kMillisecond);  // 101's frame leaves
+  server_loop.run_for(20 * kMillisecond);  // replica hears 101; its frame to 100 leaves
+  ASSERT_EQ(replica.received.size(), 1u);
+  server.send(sim::NodeId{1}, sim::NodeId{101}, reject_of(101, 2));  // queued, not yet sent
+  client_loop.run_for(20 * kMillisecond);  // clients switch and half-close theirs
+  ASSERT_EQ(c100.received.size(), 1u);
+
+  for (int turn = 0; turn < 5; ++turn) {
+    server_loop.run_for(10 * kMillisecond);
+    client_loop.run_for(10 * kMillisecond);
+  }
+  ASSERT_EQ(c101.received.size(), 1u);
+  EXPECT_EQ(onr_of(c101.received[0].second), 2u);
+  EXPECT_EQ(clients.outbound_connections() + clients.inbound_connections(), 1u);
+  EXPECT_EQ(server.outbound_connections() + server.inbound_connections(), 1u);
+
+  // The surviving connection serves both clients.
+  clients.send(sim::NodeId{101}, sim::NodeId{1}, reject_of(101, 3));
+  client_loop.run_for(10 * kMillisecond);
+  server_loop.run_for(10 * kMillisecond);
+  server.send(sim::NodeId{1}, sim::NodeId{101}, reject_of(101, 3));
+  server.send(sim::NodeId{1}, sim::NodeId{100}, reject_of(100, 3));
+  server_loop.run_for(10 * kMillisecond);
+  client_loop.run_for(10 * kMillisecond);
+  EXPECT_EQ(c100.received.size(), 2u);
+  EXPECT_EQ(c101.received.size(), 2u);
+  EXPECT_EQ(server.outbound_connections() + server.inbound_connections(), 1u);
+}
+
+TEST(TcpTransportTest, CoLocatedClientsShareOneConnection) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport clients(loop), server(loop);
+  CollectingEndpoint c1, c2, replica;
+  clients.add_node(sim::NodeId{100}, sim::NodeKind::Client, &c1);
+  clients.add_node(sim::NodeId{101}, sim::NodeKind::Client, &c2);
+  server.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &replica);
+  clients.set_remote(sim::NodeId{1}, server.port_of(sim::NodeId{1}));
+
+  clients.send(sim::NodeId{100}, sim::NodeId{1}, reject_of(100, 1));
+  clients.send(sim::NodeId{101}, sim::NodeId{1}, reject_of(101, 1));
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(replica.received.size(), 2u);
+
+  // Both replies are queued in one iteration: they leave in one sendmsg
+  // over the shared connection, and each reaches only its own client.
+  server.send(sim::NodeId{1}, sim::NodeId{100}, reject_of(100, 1));
+  server.send(sim::NodeId{1}, sim::NodeId{101}, reject_of(101, 1));
+  loop.run_for(50 * kMillisecond);
+
+  ASSERT_EQ(c1.received.size(), 1u);
+  ASSERT_EQ(c2.received.size(), 1u);
+  EXPECT_EQ(dynamic_cast<const msg::Reject&>(*c1.received[0].second).id.cid.value, 100u);
+  EXPECT_EQ(dynamic_cast<const msg::Reject&>(*c2.received[0].second).id.cid.value, 101u);
+  EXPECT_EQ(server.stats().write_syscalls, 1u);
+  EXPECT_EQ(clients.outbound_connections(), 1u);
+  EXPECT_EQ(server.inbound_connections(), 1u);
+  EXPECT_EQ(server.outbound_connections(), 0u);
+}
+
+TEST(TcpTransportTest, PeerResetDropsTheRouteAndTheNextSendRedials) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport left(loop);
+  CollectingEndpoint a, b, b_again;
+  left.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  auto right = std::make_unique<rpc::TcpTransport>(loop);
+  right->add_node(sim::NodeId{2}, sim::NodeKind::Replica, &b);
+  left.set_remote(sim::NodeId{2}, right->port_of(sim::NodeId{2}));
+  left.send(sim::NodeId{1}, sim::NodeId{2}, reject_of(1, 1));
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(b.received.size(), 1u);
+  ASSERT_EQ(left.outbound_connections(), 1u);
+
+  // The peer process dies: its sockets close, and the route goes with
+  // the connection.
+  right.reset();
+  loop.run_for(50 * kMillisecond);
+  EXPECT_EQ(left.outbound_connections(), 0u);
+
+  // It comes back on a new port; the next send dials it afresh.
+  right = std::make_unique<rpc::TcpTransport>(loop);
+  right->add_node(sim::NodeId{2}, sim::NodeKind::Replica, &b_again);
+  left.set_remote(sim::NodeId{2}, right->port_of(sim::NodeId{2}));
+  left.send(sim::NodeId{1}, sim::NodeId{2}, reject_of(1, 2));
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(b_again.received.size(), 1u);
+  EXPECT_EQ(onr_of(b_again.received[0].second), 2u);
+  EXPECT_EQ(left.outbound_connections(), 1u);
+}
+
+TEST(TcpTransportTest, ListenerlessSessionsGetRepliesOverTheirOwnSockets) {
+  rpc::EventLoop loop;
+  rpc::TcpTransport transport(loop);
+  CollectingEndpoint a;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  // Two storm-style sessions: sender-port 0, kNoDest, one socket each.
+  const std::uint32_t sessions[2] = {1'000'001, 1'000'002};
+  int fds[2];
+  for (int i = 0; i < 2; ++i) {
+    fds[i] = connect_raw(transport.port_of(sim::NodeId{1}));
+    auto request = rpc::encode_frame(sessions[i], 0, reject_of(sessions[i], 1)->encode());
+    ASSERT_EQ(::write(fds[i], request.data(), request.size()),
+              static_cast<ssize_t>(request.size()));
+  }
+  loop.run_for(50 * kMillisecond);
+  ASSERT_EQ(a.received.size(), 2u);
+
+  for (std::uint32_t session : sessions) {
+    transport.send(sim::NodeId{1}, sim::NodeId{session}, reject_of(session, 1));
+  }
+  loop.run_for(50 * kMillisecond);
+
+  for (int i = 0; i < 2; ++i) {
+    char buf[4096];
+    ssize_t n = ::recv(fds[i], buf, sizeof buf, MSG_DONTWAIT);
+    ASSERT_GT(n, 0);
+    rpc::FrameReader reader;
+    std::vector<std::uint64_t> cids;
+    reader.feed(std::as_bytes(std::span(buf, static_cast<std::size_t>(n))),
+                [&](std::uint32_t, std::uint32_t, std::uint32_t dest,
+                    std::span<const std::byte> payload) {
+                  EXPECT_EQ(dest, sessions[i]);
+                  auto message = msg::decode(payload);
+                  cids.push_back(static_cast<const msg::Reject&>(*message).id.cid.value);
+                });
+    EXPECT_EQ(cids, (std::vector<std::uint64_t>{sessions[i]}));
+    ::close(fds[i]);
+  }
+  EXPECT_EQ(transport.outbound_connections(), 0u);  // nothing was dialed
+  EXPECT_EQ(transport.stats().dropped, 0u);
+}
+
+TEST(TcpTransportTest, IdleTimeoutCountsBytesInBothDirections) {
+  rpc::EventLoop loop;
+  rpc::TcpTransportConfig config;
+  config.idle_timeout = 80 * kMillisecond;
+  config.sweep_interval = 20 * kMillisecond;
+  rpc::TcpTransport transport(loop, config);
+  CollectingEndpoint a;
+  transport.add_node(sim::NodeId{1}, sim::NodeKind::Replica, &a);
+
+  // `listening` sends one frame and then only reads what we keep writing
+  // to it; `silent` never moves a byte either way.
+  const std::uint32_t session = 1'000'003;
+  int listening = connect_raw(transport.port_of(sim::NodeId{1}));
+  int silent = connect_raw(transport.port_of(sim::NodeId{1}));
+  auto request = rpc::encode_frame(session, 0, reject_of(session, 1)->encode());
+  ASSERT_EQ(::write(listening, request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  for (std::uint64_t round = 1; round <= 6; ++round) {
+    loop.run_for(40 * kMillisecond);
+    transport.send(sim::NodeId{1}, sim::NodeId{session}, reject_of(session, round));
+  }
+  loop.run_for(20 * kMillisecond);
+
+  EXPECT_EQ(transport.stats().idle_evictions, 1u);
+  EXPECT_TRUE(peer_closed(silent));
+  EXPECT_FALSE(peer_closed(listening));
+  EXPECT_EQ(transport.stats().dropped, 0u);
+  ::close(listening);
+  ::close(silent);
+}
+
 TEST(FramingTest, DecodeBufferIsReusedAcrossFrames) {
   rpc::FrameReader reader;
   const std::size_t warm = reader.capacity();
   ASSERT_GT(warm, 0u);
 
   std::size_t delivered = 0;
-  auto count = [&](std::uint32_t, std::uint32_t, std::span<const std::byte>) { ++delivered; };
+  auto count = [&](std::uint32_t, std::uint32_t, std::uint32_t, std::span<const std::byte>) {
+    ++delivered;
+  };
 
   // Steady state: frames smaller than the warm buffer, each split across
   // two reads to exercise the partial-frame path. The grow-only buffer

@@ -136,6 +136,21 @@ fi
 echo "live scrape OK: ${SMOKE_REJECTS} rt-queue-full rejects visible mid-run"
 curl -sf "http://127.0.0.1:${ADMIN_BASE}/stats" | grep -q '"requests_received"' || {
   echo "live scrape FAILED: /stats JSON missing" >&2; exit 1; }
+# One duplex connection per pair of transports: each server holds one to
+# each of its two peers plus one to the client process (24 clients share
+# it), never a dial-back per client.
+for i in 0 1 2; do
+  CONNS="$(curl -sf "http://127.0.0.1:$(( ADMIN_BASE + i ))/stats" | sed -nE \
+      's/.*"inbound_connections":([0-9]+),"outbound_connections":([0-9]+).*/\1 \2/p')" \
+      || CONNS=""
+  read -r CONNS_IN CONNS_OUT <<< "${CONNS:-x x}"
+  if ! [[ "${CONNS_IN}" =~ ^[0-9]+$ ]] || (( CONNS_IN + CONNS_OUT > 3 )); then
+    echo "connection scrape FAILED: server ${i} holds '${CONNS}' (in out) connections," \
+        "expected at most 3 in total" >&2
+    exit 1
+  fi
+  echo "server ${i}: ${CONNS_IN} accepted + ${CONNS_OUT} dialed connections"
+done
 wait "${SMOKE_CLIENT}"
 wait
 
