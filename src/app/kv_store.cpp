@@ -9,6 +9,55 @@ namespace {
 /// Encoded length of one ByteWriter::str field.
 std::size_t str_size(std::string_view s) { return varint_size(s.size()) + s.size(); }
 
+/// A command parsed in place: key and value view the command buffer.
+struct CommandView {
+  KvOp op = KvOp::Get;
+  std::string_view key;
+  std::string_view value;      ///< Put only
+  std::uint32_t scan_len = 0;  ///< Scan only
+};
+
+/// The one KV command parser (KvCommand::decode copies its views). Throws
+/// CodecError on a truncated command; an unknown op parses, with its key.
+CommandView parse(std::span<const std::byte> data) {
+  ByteReader r(data);
+  CommandView cmd;
+  cmd.op = static_cast<KvOp>(r.u8());
+  cmd.key = r.str_view();
+  switch (cmd.op) {
+    case KvOp::Put:
+      cmd.value = r.str_view();
+      break;
+    case KvOp::Scan:
+      cmd.scan_len = static_cast<std::uint32_t>(r.varint());
+      break;
+    case KvOp::Get:
+    case KvOp::Delete:
+      break;
+  }
+  return cmd;
+}
+
+/// A KvResult without values, as KvResult::encode writes it.
+std::vector<std::byte> status_result(KvResult::Status status) {
+  return {static_cast<std::byte>(status), std::byte{0}};
+}
+
+/// An Ok KvResult carrying the values of up to `limit` entries from
+/// `first`, encoded into one exactly sized buffer.
+template <typename It>
+std::vector<std::byte> values_result(It first, It end, std::uint64_t limit) {
+  std::uint64_t count = 0;
+  std::size_t bytes = 0;
+  for (It it = first; it != end && count < limit; ++it, ++count) bytes += str_size(it->second);
+  ByteWriter w;
+  w.reserve(1 + varint_size(count) + bytes);
+  w.u8(static_cast<std::uint8_t>(KvResult::Status::Ok));
+  w.varint(count);
+  for (It it = first; count > 0; ++it, --count) w.str(it->second);
+  return w.take();
+}
+
 }  // namespace
 
 /// Checkpoint handle: the store's size at checkpoint time plus, while
@@ -102,21 +151,12 @@ std::vector<std::byte> KvCommand::encode() const {
 }
 
 KvCommand KvCommand::decode(std::span<const std::byte> data) {
-  ByteReader r(data);
+  const CommandView view = parse(data);
   KvCommand cmd;
-  cmd.op = static_cast<KvOp>(r.u8());
-  cmd.key = r.str();
-  switch (cmd.op) {
-    case KvOp::Put:
-      cmd.value = r.str();
-      break;
-    case KvOp::Scan:
-      cmd.scan_len = static_cast<std::uint32_t>(r.varint());
-      break;
-    case KvOp::Get:
-    case KvOp::Delete:
-      break;
-  }
+  cmd.op = view.op;
+  cmd.key = view.key;
+  cmd.value = view.value;
+  cmd.scan_len = view.scan_len;
   return cmd;
 }
 
@@ -139,43 +179,28 @@ KvResult KvResult::decode(std::span<const std::byte> data) {
 }
 
 std::vector<std::byte> KvStore::execute(std::span<const std::byte> command) {
-  KvCommand cmd;
+  CommandView cmd;
   try {
-    cmd = KvCommand::decode(command);
+    cmd = parse(command);
   } catch (const CodecError&) {
-    KvResult bad;
-    bad.status = KvResult::Status::BadRequest;
-    return bad.encode();
+    return status_result(KvResult::Status::BadRequest);
   }
 
-  KvResult res;
   switch (cmd.op) {
     case KvOp::Get: {
       auto it = data_.find(cmd.key);
-      if (it == data_.end()) {
-        res.status = KvResult::Status::NotFound;
-      } else {
-        res.values.push_back(it->second);
-      }
-      break;
+      if (it == data_.end()) return status_result(KvResult::Status::NotFound);
+      return values_result(it, data_.end(), 1);
     }
     case KvOp::Put:
-      put(std::move(cmd.key), std::move(cmd.value));
-      break;
+      put(cmd.key, cmd.value);
+      return status_result(KvResult::Status::Ok);
     case KvOp::Delete:
-      if (!erase(cmd.key)) res.status = KvResult::Status::NotFound;
-      break;
-    case KvOp::Scan: {
-      auto it = data_.lower_bound(cmd.key);
-      for (std::uint32_t i = 0; i < cmd.scan_len && it != data_.end(); ++i, ++it) {
-        res.values.push_back(it->second);
-      }
-      break;
-    }
-    default:
-      res.status = KvResult::Status::BadRequest;
+      return status_result(erase(cmd.key) ? KvResult::Status::Ok : KvResult::Status::NotFound);
+    case KvOp::Scan:
+      return values_result(data_.lower_bound(cmd.key), data_.end(), cmd.scan_len);
   }
-  return res.encode();
+  return status_result(KvResult::Status::BadRequest);
 }
 
 std::vector<std::byte> KvStore::snapshot() const {
@@ -221,7 +246,7 @@ void KvStore::restore(std::span<const std::byte> snapshot) {
 Duration KvStore::execution_cost(std::span<const std::byte> command) const {
   Duration cost = costs_.base;
   try {
-    KvCommand cmd = KvCommand::decode(command);
+    const CommandView cmd = parse(command);
     if (cmd.op == KvOp::Put) {
       cost += static_cast<Duration>(costs_.ns_per_value_byte *
                                     static_cast<double>(cmd.value.size()));
@@ -240,17 +265,19 @@ std::optional<std::string> KvStore::get(std::string_view key) const {
   return it->second;
 }
 
-void KvStore::put(std::string key, std::string value) {
+void KvStore::put(std::string_view key, std::string_view value) {
   auto it = data_.lower_bound(key);
   if (it != data_.end() && it->first == key) {
     entry_bytes_ = entry_bytes_ - str_size(it->second) + str_size(value);
     if (tracked_ != nullptr) tracked_->remember(it->first, &it->second);
-    it->second = std::move(value);
+    // Reuses the live string's capacity unless its pre-image was just
+    // moved out for the tracked checkpoint.
+    it->second.assign(value);
     return;
   }
   entry_bytes_ += str_size(key) + str_size(value);
   if (tracked_ != nullptr) tracked_->remember(key, nullptr);
-  data_.emplace_hint(it, std::move(key), std::move(value));
+  data_.emplace_hint(it, key, value);
 }
 
 bool KvStore::erase(std::string_view key) {

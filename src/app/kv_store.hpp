@@ -75,7 +75,7 @@ class KvStore final : public StateMachine {
 
   // Direct (non-replicated) accessors for tests and examples.
   std::optional<std::string> get(std::string_view key) const;
-  void put(std::string key, std::string value);
+  void put(std::string_view key, std::string_view value);
   std::size_t size() const { return data_.size(); }
   /// Exact length of snapshot(), without building it.
   std::size_t snapshot_size() const { return varint_size(data_.size()) + entry_bytes_; }
@@ -87,7 +87,9 @@ class KvStore final : public StateMachine {
   class Frozen;
 
   /// Every write goes through put() or erase(), so the encoded size and
-  /// the tracked checkpoint's pre-images stay exact.
+  /// the tracked checkpoint's pre-images stay exact. execute() parses the
+  /// command in place and writes through the same two, so a KV operation
+  /// copies only what the map keeps and encodes its result in one buffer.
   bool erase(std::string_view key);
   /// Materializes the tracked handle, if any, and stops tracking.
   void stop_tracking();

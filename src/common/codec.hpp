@@ -41,15 +41,39 @@ constexpr std::size_t varint_size(std::uint64_t v) {
 /// writes (resize + memcpy) instead of per-byte push_back; encoders that know
 /// their wire size call reserve() first so a message serializes with exactly
 /// one allocation.
+///
+/// A counter() writer stores nothing: every append only adds to size(), so
+/// running an encoder through it measures the encoding without allocating.
 class ByteWriter {
  public:
+  /// A writer that only counts the bytes appended to it.
+  static ByteWriter counter() {
+    ByteWriter w;
+    w.counting_ = true;
+    return w;
+  }
+
   /// Pre-size the buffer for a message of known encoded length.
-  void reserve(std::size_t n) { buf_.reserve(n); }
+  void reserve(std::size_t n) {
+    if (!counting_) buf_.reserve(n);
+  }
 
   /// Appends `n` zero bytes (space the caller fills in later).
-  void skip(std::size_t n) { buf_.resize(buf_.size() + n); }
+  void skip(std::size_t n) {
+    if (counting_) {
+      counted_ += n;
+    } else {
+      buf_.resize(buf_.size() + n);
+    }
+  }
 
-  void u8(std::uint8_t v) { buf_.push_back(std::byte{v}); }
+  void u8(std::uint8_t v) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      buf_.push_back(std::byte{v});
+    }
+  }
 
   void u16(std::uint16_t v) {
     const std::uint8_t raw[2] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8)};
@@ -73,6 +97,10 @@ class ByteWriter {
   /// usually tiny, and the paper stresses that agreement on *ids* instead of
   /// full requests keeps messages several magnitudes smaller (Section 4.2).
   void varint(std::uint64_t v) {
+    if (counting_) {
+      counted_ += varint_size(v);
+      return;
+    }
     while (v >= 0x80) {
       u8(static_cast<std::uint8_t>(v) | 0x80);
       v >>= 7;
@@ -97,10 +125,14 @@ class ByteWriter {
 
   const std::vector<std::byte>& data() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
+  std::size_t size() const { return counting_ ? counted_ : buf_.size(); }
 
  private:
   void append_raw(const void* src, std::size_t n) {
+    if (counting_) {
+      counted_ += n;
+      return;
+    }
     if (n == 0) return;
     const std::size_t old = buf_.size();
     buf_.resize(old + n);
@@ -108,6 +140,8 @@ class ByteWriter {
   }
 
   std::vector<std::byte> buf_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;  ///< bytes appended in counting mode
 };
 
 /// Reads primitive values back out of a byte buffer, bounds-checked.
@@ -159,10 +193,13 @@ class ByteReader {
     return out;
   }
 
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+
+  /// A str() field viewed in place: valid as long as the underlying buffer.
+  std::string_view str_view() {
     auto len = varint();
     require(len);
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len);
+    std::string_view out(reinterpret_cast<const char*>(data_.data() + pos_), len);
     pos_ += len;
     return out;
   }

@@ -4,9 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "app/state_machine.hpp"
 #include "common/ids.hpp"
@@ -21,9 +22,9 @@ struct Checkpoint {
   /// The application state as of `upto`; serialized only when a lagging
   /// replica asks for it (state transfer).
   std::shared_ptr<const app::FrozenState> state;
-  /// Highest executed operation number per client — used to suppress
-  /// duplicate execution after state transfer.
-  std::map<std::uint64_t, std::uint64_t> last_executed;
+  /// Highest executed operation number per client, sorted by client id —
+  /// used to suppress duplicate execution after state transfer.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> last_executed;
 };
 
 /// Keeps the most recent checkpoint; creation interval is the caller's

@@ -2,8 +2,8 @@
 //
 // Every message derives sim::Payload, carries a full binary encoding
 // (exercised by tests and used for byte accounting), and caches its wire
-// size. IDEM messages follow Sections 4-5 of the paper; the Paxos and
-// SMaRt messages serve the baseline protocols.
+// size, measured without serializing. IDEM messages follow Sections 4-5
+// of the paper; the Paxos and SMaRt messages serve the baseline protocols.
 #pragma once
 
 #include <cstdint>
@@ -100,29 +100,33 @@ std::vector<Item> decode_items(ByteReader& r) {
   return items;
 }
 
-/// Base for all messages: encodes lazily, caches the wire size.
+/// Base for all messages: encodes on demand, caches the wire size.
 class Message : public sim::Payload {
  public:
   virtual Type type() const = 0;
 
+  /// Measured by running encode_body through a counting writer: sizing a
+  /// message allocates nothing.
   std::size_t wire_size() const final {
-    if (!size_) size_ = encode().size();
+    if (!size_) {
+      ByteWriter counter = ByteWriter::counter();
+      counter.u8(static_cast<std::uint8_t>(type()));
+      encode_body(counter);
+      size_ = counter.size();
+    }
     return *size_;
   }
 
   /// Full binary encoding including the leading type byte, behind
   /// `headroom` zero bytes the caller fills in afterwards (a transport's
-  /// frame header). Also primes the wire-size cache, and uses it when
-  /// already known: the network layer calls wire_size() on every send, so
-  /// a later encode of the same message serializes into an exactly-sized
-  /// buffer in one allocation.
+  /// frame header). Serializes into an exactly-sized buffer: one
+  /// allocation per encode.
   std::vector<std::byte> encode(std::size_t headroom = 0) const {
     ByteWriter w;
-    if (size_) w.reserve(headroom + *size_);
+    w.reserve(headroom + wire_size());
     w.skip(headroom);
     w.u8(static_cast<std::uint8_t>(type()));
     encode_body(w);
-    if (!size_) size_ = w.size() - headroom;
     return w.take();
   }
 

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <deque>
 #include <utility>
+#include <vector>
 
 #include "common/time.hpp"
 
@@ -73,8 +74,8 @@ class BatchPipeline {
   template <typename F>
   std::size_t cut(F&& verdict) {
     std::size_t taken = 0;
-    std::deque<Item> deferred;
-    std::deque<Time> deferred_at;
+    // A vector, unlike a deque, allocates nothing until an item is deferred.
+    std::vector<std::pair<Item, Time>> deferred;
     while (!queue_.empty() && taken < policy_.batch_max) {
       Item item = std::move(queue_.front());
       Time at = enqueued_.front();
@@ -87,16 +88,13 @@ class BatchPipeline {
         case Verdict::Drop:
           break;
         case Verdict::Defer:
-          deferred.push_back(std::move(item));
-          deferred_at.push_back(at);
+          deferred.emplace_back(std::move(item), at);
           break;
       }
     }
-    while (!deferred.empty()) {
-      queue_.push_back(std::move(deferred.front()));
-      enqueued_.push_back(deferred_at.front());
-      deferred.pop_front();
-      deferred_at.pop_front();
+    for (auto& [item, at] : deferred) {
+      queue_.push_back(std::move(item));
+      enqueued_.push_back(at);
     }
     return taken;
   }

@@ -28,6 +28,7 @@ IdemReplica::IdemReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       rejected_(config.rejected_cache_size),
       checkpoints_(config.checkpoint_interval),
       cost_rng_(sim.seed(), 0xC057'0000ull + id.value) {
+  consensus::check_group_size(config_.n);
   assert(config_.n == 2 * config_.f + 1);
   assert(sm_ != nullptr);
   assert(acceptance_ != nullptr);
@@ -294,7 +295,7 @@ void IdemReplica::flush_requires() {
   if (pending_requires_.empty()) return;
   auto require = std::make_shared<msg::Require>();
   require->from = me_;
-  require->ids = std::move(pending_requires_);
+  require->ids = pending_requires_;  // exactly sized; the queue keeps its capacity
   pending_requires_.clear();
   if (is_leader()) {
     for (RequestId id : require->ids) note_require(me_, id);
@@ -360,24 +361,27 @@ void IdemReplica::try_propose() {
     next_sqn_ = log_.skip_bound(next_sqn_);
     if (next_sqn_ >= window_end) break;
 
-    std::vector<RequestId> batch;
+    // The proposal's ids are built once, in the message; the instance
+    // keeps an exactly sized copy.
+    auto propose = std::make_shared<msg::Propose>();
+    propose->ids.reserve(std::min(batch_.size(), config_.batch_max));
     batch_.cut([&](RequestId id) {
       in_eligible_.erase(id);
       if (clients_.executed(id) || proposed_.contains(id)) {
         return BatchPipeline<RequestId>::Verdict::Drop;
       }
-      batch.push_back(id);
+      propose->ids.push_back(id);
       return BatchPipeline<RequestId>::Verdict::Take;
     });
-    if (batch.empty()) break;
+    if (propose->ids.empty()) break;
 
     Instance& inst = log_.at(next_sqn_);
     inst.view = views_.view();
-    inst.ids = batch;
+    inst.ids = propose->ids;
     inst.has_binding = true;
     inst.own_commit_sent = true;  // the leader's proposal counts as a commit
     inst.commit_votes.insert(me_.value);
-    for (RequestId id : batch) {
+    for (RequestId id : inst.ids) {
       proposed_.insert(id);
       requires_.erase(id);
       lifecycle::proposed(config_.trace, now(), me_.value, id, next_sqn_);
@@ -385,10 +389,8 @@ void IdemReplica::try_propose() {
     lifecycle::propose_received(config_.trace, now(), me_.value, next_sqn_);
     note_commit_quorum(next_sqn_, inst);
 
-    auto propose = std::make_shared<msg::Propose>();
     propose->view = views_.view();
     propose->sqn = SeqNum{next_sqn_};
-    propose->ids = std::move(batch);
     multicast(std::move(propose));
     ++stats_.proposals_sent;
     ++next_sqn_;
@@ -807,7 +809,8 @@ void IdemReplica::maybe_checkpoint(std::uint64_t executed_sqn) {
   // were serialized eagerly: the model's cost, not the host's.
   charge(kCheckpointBaseCost + static_cast<Duration>(kCheckpointNsPerByte *
                                                      static_cast<double>(checkpoint.state->size())));
-  checkpoint.last_executed = {clients_.sessions().begin(), clients_.sessions().end()};
+  checkpoint.last_executed.assign(clients_.sessions().begin(), clients_.sessions().end());
+  std::sort(checkpoint.last_executed.begin(), checkpoint.last_executed.end());
   checkpoints_.store(std::move(checkpoint));
   ++stats_.checkpoints_created;
 }

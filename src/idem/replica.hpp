@@ -113,7 +113,7 @@ class IdemReplica final : public sim::Node {
     ViewId view;                 ///< view of the newest binding seen
     std::vector<RequestId> ids;  ///< empty until a PROPOSE/COMMIT arrives
     bool own_commit_sent = false;
-    std::unordered_set<std::uint32_t> commit_votes;
+    consensus::VoteSet commit_votes;
     RetryGate fetch_gate;  ///< rate-limits FETCH rounds for this slot
   };
 

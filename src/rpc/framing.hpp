@@ -83,8 +83,7 @@ inline std::vector<std::byte> encode_frame(std::uint32_t sender, std::uint32_t s
 
 /// Builds one frame around a message in a single allocation: the message
 /// encodes straight into the frame buffer behind a reserved header
-/// (`encode(headroom)`, exactly sized once the message's wire size is
-/// cached).
+/// (`encode(headroom)`, exactly sized from the message's wire size).
 template <typename Message>
 std::vector<std::byte> frame_message(const Message& message, std::uint32_t sender,
                                      std::uint32_t sender_port,

@@ -15,6 +15,7 @@ SmartReplica::SmartReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId id,
       me_(id),
       sm_(std::move(state_machine)),
       cost_rng_(sim.seed(), 0xC057'2000ull + id.value) {
+  consensus::check_group_size(config_.n);
   assert(config_.n == 2 * config_.f + 1);
   batch_.configure({config_.batch_max, config_.batch_min, config_.batch_flush_delay});
   retransmit_tick();

@@ -19,6 +19,7 @@ SmartPrReplica::SmartPrReplica(sim::Runtime& sim, sim::Transport& net, ReplicaId
       acceptance_(std::move(acceptance)),
       rejected_(config.rejected_cache_size),
       cost_rng_(sim.seed(), 0xC057'3000ull + id.value) {
+  consensus::check_group_size(config_.n);
   assert(config_.n == 2 * config_.f + 1);
   batch_.configure({config_.batch_max, config_.batch_min, config_.batch_flush_delay});
   retransmit_tick();

@@ -2,9 +2,19 @@
 // consensus bookkeeping helpers.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <unordered_set>
+#include <vector>
+
+#include "app/kv_store.hpp"
+#include "common/rng.hpp"
 #include "consensus/checkpoint.hpp"
 #include "consensus/quorum.hpp"
 #include "idem/acceptance.hpp"
+#include "idem/replica.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 
 namespace idem::core {
 namespace {
@@ -385,6 +395,105 @@ TEST(QuorumTracker, EraseResets) {
   tracker.vote(5, ReplicaId{0});
   tracker.erase(5);
   EXPECT_EQ(tracker.count(5), 0u);
+}
+
+TEST(QuorumTracker, IgnoresVotersPastTheGroupBound) {
+  consensus::QuorumTracker<int> tracker;
+  EXPECT_EQ(tracker.vote(1, ReplicaId{0}), 1u);
+  EXPECT_EQ(tracker.vote(1, ReplicaId{consensus::kMaxReplicas - 1}), 2u);
+  EXPECT_EQ(tracker.vote(1, ReplicaId{consensus::kMaxReplicas}), 2u);
+  EXPECT_EQ(tracker.vote(1, ReplicaId{1'000'000}), 2u);
+  EXPECT_EQ(tracker.count(1), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// VoteSet
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint32_t> voters(const consensus::VoteSet& set) {
+  return {set.begin(), set.end()};
+}
+
+TEST(VoteSet, CountsDistinctVotersIdempotently) {
+  consensus::VoteSet set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.insert(1));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(1));  // re-vote
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.contains(0));
+  EXPECT_FALSE(set.contains(2));
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(voters(set).empty());
+}
+
+TEST(VoteSet, IteratesMostRecentInsertFirst) {
+  // FETCH and state-transfer targets are the first voter other than the
+  // replica itself, so this order is part of every simulated trajectory.
+  consensus::VoteSet set;
+  set.insert(2);
+  set.insert(0);
+  set.insert(1);
+  EXPECT_EQ(voters(set), (std::vector<std::uint32_t>{1, 0, 2}));
+  set.insert(2);  // a re-vote keeps its original place
+  EXPECT_EQ(voters(set), (std::vector<std::uint32_t>{1, 0, 2}));
+  set.clear();
+  set.insert(4);
+  set.insert(3);
+  EXPECT_EQ(voters(set), (std::vector<std::uint32_t>{3, 4}));
+}
+
+#if defined(__GLIBCXX__)
+TEST(VoteSet, OrderMatchesTheHashSetItReplaced) {
+  // The slot vote sets used to be std::unordered_set<std::uint32_t>. With
+  // libstdc++ a first insert sizes it to 13 buckets, so ids below 13 land
+  // in distinct buckets and each new one is linked in at the front:
+  // iteration is most recent first, which VoteSet reproduces. Pinned here
+  // because simulated trajectories were recorded with that order.
+  Rng rng(3, 9);
+  for (int round = 0; round < 500; ++round) {
+    consensus::VoteSet set;
+    std::unordered_set<std::uint32_t> hashed;
+    const auto votes = rng.uniform_int(1, 12);
+    for (std::int64_t i = 0; i < votes; ++i) {
+      const auto voter = static_cast<std::uint32_t>(rng.uniform_int(0, 6));
+      set.insert(voter);
+      hashed.insert(voter);
+      if (rng.uniform_int(0, 9) == 0) {
+        set.clear();
+        hashed.clear();
+      }
+    }
+    ASSERT_EQ(voters(set), std::vector<std::uint32_t>(hashed.begin(), hashed.end()));
+  }
+}
+#endif
+
+TEST(VoteSet, IdsPastTheGroupBoundAreIgnored) {
+  consensus::VoteSet set;
+  for (std::uint32_t id = 0; id < consensus::kMaxReplicas; ++id) EXPECT_TRUE(set.insert(id));
+  EXPECT_EQ(set.size(), consensus::kMaxReplicas);
+  EXPECT_FALSE(set.insert(static_cast<std::uint32_t>(consensus::kMaxReplicas)));
+  EXPECT_FALSE(set.insert(4'000'000'000u));
+  EXPECT_EQ(set.size(), consensus::kMaxReplicas);
+  EXPECT_EQ(*set.begin(), consensus::kMaxReplicas - 1);
+}
+
+TEST(VoteSet, GroupSizeIsCheckedWhereReplicasAreConfigured) {
+  EXPECT_NO_THROW(consensus::check_group_size(1));
+  EXPECT_NO_THROW(consensus::check_group_size(consensus::kMaxReplicas));
+  EXPECT_THROW(consensus::check_group_size(0), std::invalid_argument);
+  EXPECT_THROW(consensus::check_group_size(consensus::kMaxReplicas + 1), std::invalid_argument);
+
+  sim::Simulator sim(1);
+  sim::SimNetwork net(sim, sim::NetworkConfig{});
+  IdemConfig config;
+  config.n = 2 * 8 + 1;  // 17 replicas, f = 8: past the bound
+  config.f = 8;
+  EXPECT_THROW(IdemReplica(sim, net, ReplicaId{0}, config, std::make_unique<app::KvStore>(),
+                           std::make_unique<NeverReject>()),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

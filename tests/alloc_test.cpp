@@ -1,7 +1,10 @@
-// Proves the kernel's allocation budget (DESIGN.md "Kernel performance
-// model"): once warm, the steady-state dispatch path — EventQueue push ->
+// Proves the allocation budget (DESIGN.md "Kernel performance model"):
+// once warm, the kernel's steady-state dispatch path — EventQueue push ->
 // pop -> fire, Simulator::step, Node timer set/cancel, and network message
-// delivery with a reused payload — performs zero heap allocations.
+// delivery with a reused payload — performs zero heap allocations. Above
+// the kernel, sizing a message and costing a KV command allocate nothing,
+// encoding a message or a KV result allocates its one buffer, and a warm
+// IDEM cluster stays within a pinned number of allocations per operation.
 //
 // A counting global operator new/delete pair is armed only inside the
 // measured regions; everything else (gtest bookkeeping, warm-up capacity
@@ -11,10 +14,15 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
+#include <vector>
 #include <memory>
 #include <new>
 
+#include "app/kv_store.hpp"
+#include "app/ycsb.hpp"
 #include "consensus/messages.hpp"
+#include "harness/cluster.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "rpc/framing.hpp"
@@ -258,6 +266,160 @@ TEST(AllocationBudget, FramingAMessageIsOneAllocation) {
   }
   EXPECT_EQ(request_frame.size(), rpc::kFrameHeaderBytes + request_size);
   EXPECT_EQ(propose_frame.size(), rpc::kFrameHeaderBytes + propose_size);
+}
+
+TEST(AllocationBudget, WireSizeIsAllocationFree) {
+  // The simulator sizes every message it sends and every message a replica
+  // handles; real mode sizes every delivered message for the cost model.
+  // Sizing runs the encoder through a counting writer and stores nothing.
+  std::vector<std::shared_ptr<const msg::Message>> messages;
+  messages.push_back(std::make_shared<msg::Request>(
+      RequestId{ClientId{7}, OpNum{300}}, std::vector<std::byte>(300, std::byte{0x5A})));
+  auto propose = std::make_shared<msg::Propose>();
+  propose->view = ViewId{1};
+  propose->sqn = SeqNum{200};
+  propose->ids.assign(40, RequestId{ClientId{9}, OpNum{1}});
+  messages.push_back(propose);
+  auto forward = std::make_shared<msg::Forward>();
+  forward->requests.emplace_back(RequestId{ClientId{1}, OpNum{2}},
+                                 std::vector<std::byte>(150, std::byte{1}));
+  forward->requests.emplace_back(RequestId{ClientId{3}, OpNum{4}},
+                                 std::vector<std::byte>(20, std::byte{2}));
+  messages.push_back(forward);
+  auto state = std::make_shared<msg::StateResponse>();
+  state->snapshot.assign(4096, std::byte{3});
+  state->last_executed.assign(100, {ClientId{5}, OpNum{6}});
+  messages.push_back(state);
+  messages.push_back(std::make_shared<msg::Reject>(RequestId{ClientId{8}, OpNum{9}}));
+
+  std::size_t total = 0;
+  {
+    CountingGuard guard;
+    for (const auto& m : messages) total += m->wire_size();
+    EXPECT_EQ(guard.count(), 0u) << "wire_size() must not serialize into a buffer";
+  }
+  std::size_t encoded = 0;
+  for (const auto& m : messages) encoded += m->encode().size();
+  EXPECT_EQ(total, encoded);
+}
+
+/// A store preloaded with `records` keys of 100-byte values.
+std::unique_ptr<app::KvStore> preloaded_store(int records) {
+  auto store = std::make_unique<app::KvStore>();
+  for (int i = 0; i < records; ++i) store->put("user" + std::to_string(i), std::string(100, 'v'));
+  return store;
+}
+
+std::vector<std::byte> kv_command(app::KvOp op, std::string key, std::string value = {}) {
+  app::KvCommand cmd;
+  cmd.op = op;
+  cmd.key = std::move(key);
+  cmd.value = std::move(value);
+  cmd.scan_len = op == app::KvOp::Scan ? 5 : 0;
+  return cmd.encode();
+}
+
+TEST(AllocationBudget, KvGetHitAllocatesOnlyItsResult) {
+  auto store = preloaded_store(64);
+  const auto get = kv_command(app::KvOp::Get, "user17");
+  std::vector<std::byte> result;
+  {
+    CountingGuard guard;
+    result = store->execute(get);
+    EXPECT_EQ(guard.count(), 1u) << "a Get hit encodes straight into one result buffer";
+  }
+  const auto decoded = app::KvResult::decode(result);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.values, std::vector<std::string>{std::string(100, 'v')});
+}
+
+TEST(AllocationBudget, KvOverwriteAllocatesOnlyItsResult) {
+  // No checkpoint tracked: the new value is assigned into the live string,
+  // whose capacity already fits it.
+  auto store = preloaded_store(64);
+  const auto put = kv_command(app::KvOp::Put, "user23", std::string(100, 'w'));
+  std::vector<std::byte> result;
+  {
+    CountingGuard guard;
+    result = store->execute(put);
+    EXPECT_EQ(guard.count(), 1u) << "an overwrite Put allocates only its result";
+  }
+  EXPECT_TRUE(app::KvResult::decode(result).ok());
+  EXPECT_EQ(store->get("user23"), std::string(100, 'w'));
+}
+
+TEST(AllocationBudget, KvExecutionCostIsAllocationFree) {
+  auto store = preloaded_store(64);
+  const std::vector<std::vector<std::byte>> commands = {
+      kv_command(app::KvOp::Get, "user1"),
+      kv_command(app::KvOp::Put, "user2", std::string(300, 'x')),
+      kv_command(app::KvOp::Delete, "user3"),
+      kv_command(app::KvOp::Scan, "user4"),
+  };
+  Duration total = 0;
+  {
+    CountingGuard guard;
+    for (const auto& command : commands) total += store->execution_cost(command);
+    EXPECT_EQ(guard.count(), 0u) << "costing a command parses it in place";
+  }
+  EXPECT_GT(total, 0);
+}
+
+/// Closed-loop load: every client re-issues as soon as its operation
+/// concludes, cycling through pre-encoded YCSB commands. The callbacks
+/// capture only (this, index), so the loop itself allocates nothing but
+/// each request's command copy.
+struct ClosedLoop {
+  harness::Cluster& cluster;
+  std::vector<std::vector<std::byte>> commands;
+  std::uint64_t next = 0;
+  std::uint64_t replies = 0;
+  std::uint64_t others = 0;
+
+  void issue(std::size_t index) {
+    cluster.client(index).invoke(commands[next++ % commands.size()],
+                                 [this, index](const consensus::Outcome& outcome) {
+                                   ++(outcome.kind == consensus::Outcome::Kind::Reply ? replies
+                                                                                      : others);
+                                   cluster.simulator().schedule_after(
+                                       0, [this, index] { issue(index); });
+                                 });
+  }
+};
+
+// Allocations per concluded operation of a warm 3-replica IDEM cluster in
+// the simulator, clients included: 20 closed-loop YCSB-A clients (below
+// saturation, so every operation is replied). The count is deterministic
+// for the seed; the pin is the measured value plus 10 % (EXPERIMENTS.md,
+// "Allocation-lean operation path").
+TEST(AllocationBudget, IdemOperationBudget) {
+  constexpr double kMeasuredPerOp = 38.2;
+  harness::ClusterConfig config;
+  config.clients = 20;
+  config.seed = 11;
+  harness::Cluster cluster(config);
+  Simulator& sim = cluster.simulator();
+
+  ClosedLoop loop{cluster, {}};
+  app::YcsbWorkload workload(config.workload, sim.rng("alloc.budget.ops"));
+  for (int i = 0; i < 4096; ++i) loop.commands.push_back(workload.next_operation().encode());
+  for (std::size_t i = 0; i < cluster.num_clients(); ++i) loop.issue(i);
+
+  sim.run_for(kSecond);  // warm: tables, rings and the store reach steady size
+  const std::uint64_t warm_replies = loop.replies;
+  std::uint64_t allocations = 0;
+  {
+    CountingGuard guard;
+    sim.run_for(kSecond);
+    allocations = guard.count();
+  }
+  const std::uint64_t concluded = loop.replies - warm_replies;
+  ASSERT_GT(concluded, 10'000u);
+  EXPECT_EQ(loop.others, 0u) << "the load stays below saturation";
+  const double per_op = static_cast<double>(allocations) / static_cast<double>(concluded);
+  RecordProperty("allocations_per_op", std::to_string(per_op));
+  EXPECT_LE(per_op, kMeasuredPerOp * 1.1)
+      << allocations << " allocations over " << concluded << " operations";
 }
 
 }  // namespace

@@ -253,6 +253,132 @@ TEST(KvStoreCheckpoint, RandomWritesLeaveFrozenBytesExact) {
   }
 }
 
+/// The store's semantics spelled out on the decoded command and result
+/// types: what KvStore::execute must produce byte for byte.
+std::vector<std::byte> reference_execute(std::map<std::string, std::string>& data,
+                                         std::span<const std::byte> command) {
+  KvResult res;
+  KvCommand cmd;
+  try {
+    cmd = KvCommand::decode(command);
+  } catch (const CodecError&) {
+    res.status = KvResult::Status::BadRequest;
+    return res.encode();
+  }
+  switch (cmd.op) {
+    case KvOp::Get:
+      if (auto it = data.find(cmd.key); it != data.end()) {
+        res.values.push_back(it->second);
+      } else {
+        res.status = KvResult::Status::NotFound;
+      }
+      break;
+    case KvOp::Put:
+      data[cmd.key] = cmd.value;
+      break;
+    case KvOp::Delete:
+      if (data.erase(cmd.key) == 0) res.status = KvResult::Status::NotFound;
+      break;
+    case KvOp::Scan: {
+      auto it = data.lower_bound(cmd.key);
+      for (std::uint32_t i = 0; i < cmd.scan_len && it != data.end(); ++i, ++it) {
+        res.values.push_back(it->second);
+      }
+      break;
+    }
+    default:
+      res.status = KvResult::Status::BadRequest;
+  }
+  return res.encode();
+}
+
+Duration reference_cost(const KvStore::Costs& costs, std::span<const std::byte> command) {
+  Duration cost = costs.base;
+  try {
+    const KvCommand cmd = KvCommand::decode(command);
+    if (cmd.op == KvOp::Put) {
+      cost += static_cast<Duration>(costs.ns_per_value_byte * static_cast<double>(cmd.value.size()));
+    } else if (cmd.op == KvOp::Scan) {
+      cost += static_cast<Duration>(cmd.scan_len) * costs.per_scan_entry;
+    }
+  } catch (const CodecError&) {
+  }
+  return cost;
+}
+
+std::vector<std::byte> reference_snapshot(const std::map<std::string, std::string>& data) {
+  ByteWriter w;
+  w.varint(data.size());
+  for (const auto& [key, value] : data) {
+    w.str(key);
+    w.str(value);
+  }
+  return w.take();
+}
+
+TEST(KvStore, InPlaceExecutionMatchesTheDecodedReference) {
+  // Every op, malformed commands included, on a small key space: Puts
+  // overwrite with longer and shorter values while a checkpoint is
+  // tracked, and every handle must still read as of its checkpoint.
+  Rng rng(23, 5);
+  auto random_key = [&] { return "k" + std::to_string(rng.uniform_int(0, 30)); };
+  auto random_value = [&] {
+    const auto len = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(120, 135) : rng.uniform_int(0, 20);
+    return std::string(static_cast<std::size_t>(len), static_cast<char>('a' + rng.uniform_int(0, 25)));
+  };
+  KvStore store;
+  std::map<std::string, std::string> reference;
+  std::vector<HeldCheckpoint> held;
+  for (int step = 0; step < 6000; ++step) {
+    KvCommand cmd;
+    cmd.op = static_cast<KvOp>(rng.uniform_int(1, 4));
+    cmd.key = random_key();
+    if (cmd.op == KvOp::Put) cmd.value = random_value();
+    if (cmd.op == KvOp::Scan) cmd.scan_len = static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+    std::vector<std::byte> command = cmd.encode();
+    switch (rng.uniform_int(0, 19)) {
+      case 0:  // truncated anywhere, down to empty
+        command.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(command.size()) - 1)));
+        break;
+      case 1:  // unknown op byte
+        command[0] = static_cast<std::byte>(rng.bernoulli(0.5) ? 0 : rng.uniform_int(5, 255));
+        break;
+      case 2:  // trailing garbage is ignored, as by the decoder
+        command.push_back(std::byte{0x7F});
+        break;
+      default:
+        break;
+    }
+    if (rng.uniform_int(0, 99) == 0) held.push_back(freeze(store));
+    ASSERT_EQ(store.execute(command), reference_execute(reference, command)) << "step " << step;
+    ASSERT_EQ(store.execution_cost(command), reference_cost(KvStore::Costs{}, command));
+  }
+  EXPECT_EQ(store.snapshot(), reference_snapshot(reference));
+  ASSERT_FALSE(held.empty());
+  for (const auto& h : held) EXPECT_EQ(h.frozen->bytes(), h.expected);
+}
+
+TEST(KvStore, ExecutionCostMatchesTheDecodedCommand) {
+  const KvStore::Costs costs;
+  KvStore store(costs);
+  KvCommand put;
+  put.op = KvOp::Put;
+  put.key = "key";
+  put.value = std::string(300, 'v');
+  EXPECT_EQ(store.execution_cost(put.encode()),
+            costs.base + static_cast<Duration>(costs.ns_per_value_byte * 300));
+  KvCommand scan;
+  scan.op = KvOp::Scan;
+  scan.key = "a";
+  scan.scan_len = 7;
+  EXPECT_EQ(store.execution_cost(scan.encode()), costs.base + 7 * costs.per_scan_entry);
+  auto truncated = put.encode();
+  truncated.resize(truncated.size() - 1);  // Put whose value is cut short
+  EXPECT_EQ(store.execution_cost(truncated), costs.base);
+  EXPECT_EQ(store.execution_cost({}), costs.base);
+}
+
 TEST(KvStoreCheckpoint, RecordCountVarintBoundary) {
   KvStore store;
   for (int i = 0; i < 127; ++i) store.put("key" + std::to_string(i), "v");

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
+#include <random>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -275,6 +277,78 @@ TEST(OrderedLog, GcExecutedKeepsTrailingWindow) {
   young.set_next_exec(1);
   young.gc_executed(/*window_size=*/2);
   EXPECT_TRUE(young.contains(0));
+}
+
+TEST(OrderedLog, SlotReferencesSurviveGrowthAtBothEnds) {
+  OrderedLog<TestSlot> log;
+  TestSlot& middle = log.at(1000);
+  middle.payload = 7;
+  for (std::uint64_t sqn = 999; sqn > 900; --sqn) log.at(sqn);  // grows at the front
+  for (std::uint64_t sqn = 1001; sqn < 1100; ++sqn) log.at(sqn);  // and at the back
+  log.at(1000 + SlotTable<TestSlot>::kMaxSpan * 4);  // far ahead: overflow
+  EXPECT_EQ(&log.at(1000), &middle);
+  EXPECT_EQ(middle.payload, 7);
+}
+
+TEST(OrderedLog, FarSlotsIterateInOrderAndAreCollected) {
+  constexpr std::uint64_t kSpan = SlotTable<TestSlot>::kMaxSpan;
+  OrderedLog<TestSlot> log;
+  const std::vector<std::uint64_t> sqns = {5 * kSpan, 5 * kSpan + 3, 2, 10 * kSpan, 4};
+  for (std::uint64_t sqn : sqns) log.at(sqn).payload = static_cast<int>(sqn % 1000);
+  std::vector<std::uint64_t> seen;
+  for (const auto& [sqn, slot] : log.slots()) seen.push_back(sqn);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{2, 4, 5 * kSpan, 5 * kSpan + 3, 10 * kSpan}));
+  EXPECT_EQ(log.slots().lower_bound(5)->first, 5 * kSpan);
+  EXPECT_EQ(log.slots().upper_bound(5 * kSpan)->first, 5 * kSpan + 3);
+  EXPECT_EQ(log.slots().find(3), log.slots().end());
+  EXPECT_EQ(log.find(10 * kSpan)->payload, static_cast<int>((10 * kSpan) % 1000));
+
+  for (auto&& [sqn, slot] : log.slots()) slot.executed = true;
+  std::vector<int> released;
+  log.advance_low(5 * kSpan + 1, [&](TestSlot& slot) { released.push_back(slot.payload); });
+  EXPECT_EQ(released, (std::vector<int>{2, 4, static_cast<int>((5 * kSpan) % 1000)}));
+  seen.clear();
+  for (const auto& [sqn, slot] : log.slots()) seen.push_back(sqn);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{5 * kSpan + 3, 10 * kSpan}));
+}
+
+TEST(OrderedLog, BehavesLikeASortedMap) {
+  // Random creation, lookup and collection around a moving window, with
+  // occasional far-away sequence numbers, checked against std::map.
+  constexpr std::uint64_t kSpan = SlotTable<TestSlot>::kMaxSpan;
+  std::mt19937_64 rng(17);
+  for (int round = 0; round < 8; ++round) {
+    OrderedLog<TestSlot> log;
+    std::map<std::uint64_t, int> model;
+    std::uint64_t low = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const auto dice = rng() % 100;
+      std::uint64_t sqn = low + rng() % 64;
+      if (dice < 3) sqn = low + kSpan - 2 + rng() % 4;   // around the span limit
+      if (dice == 3) sqn = low + kSpan * (2 + rng() % 3);  // far ahead
+      if (dice < 60) {
+        const int value = static_cast<int>(rng() % 1000);
+        log.at(sqn).payload = value;
+        model[sqn] = value;
+      } else if (dice < 70) {
+        low += rng() % 16;
+        log.advance_low(low, [](TestSlot&) {});
+        model.erase(model.begin(), model.lower_bound(low));
+      } else {
+        auto got = log.slots().lower_bound(sqn);
+        auto want = model.lower_bound(sqn);
+        ASSERT_EQ(got == log.slots().end(), want == model.end());
+        if (want != model.end()) {
+          ASSERT_EQ(got->first, want->first);
+          ASSERT_EQ(got->second.payload, want->second);
+        }
+        ASSERT_EQ(log.contains(sqn), model.contains(sqn));
+      }
+    }
+    std::vector<std::pair<std::uint64_t, int>> seen;
+    for (const auto& [sqn, slot] : log.slots()) seen.emplace_back(sqn, slot.payload);
+    EXPECT_EQ(seen, (std::vector<std::pair<std::uint64_t, int>>(model.begin(), model.end())));
+  }
 }
 
 }  // namespace

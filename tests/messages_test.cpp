@@ -1,7 +1,10 @@
 // Round-trip and framing tests for every wire message type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <set>
 
 #include "consensus/messages.hpp"
 
@@ -403,6 +406,148 @@ TEST(Messages, WireSizeMatchesEncoding) {
   m.from = ReplicaId{0};
   m.requests.emplace_back(RequestId{ClientId{1}, OpNum{1}}, bytes_of("payload"));
   EXPECT_EQ(m.wire_size(), m.encode().size());
+}
+
+/// One fresh message of every type. `items` sizes every id, request and
+/// window list, `v` fills every varint field, `body` sizes every command,
+/// result and snapshot.
+std::vector<std::shared_ptr<const Message>> every_type(std::size_t items, std::uint64_t v,
+                                                       std::size_t body) {
+  const auto sqn = SeqNum{v};
+  const auto view = ViewId{v};
+  const auto from = ReplicaId{static_cast<std::uint32_t>(v)};
+  const std::vector<std::byte> bytes(body, std::byte{0x42});
+  std::vector<RequestId> ids;
+  std::vector<Request> requests;
+  for (std::size_t i = 0; i < items; ++i) {
+    ids.push_back(RequestId{ClientId{v + i}, OpNum{v}});
+    requests.emplace_back(RequestId{ClientId{i}, OpNum{v}}, bytes);
+  }
+
+  std::vector<std::shared_ptr<const Message>> out;
+  out.push_back(std::make_shared<Request>(RequestId{ClientId{v}, OpNum{v}}, bytes,
+                                          static_cast<Duration>(v >> 1)));
+  out.push_back(std::make_shared<Reply>(RequestId{ClientId{v}, OpNum{v}}, bytes));
+  for (RejectReason reason : {RejectReason::None, RejectReason::WrongShard}) {
+    auto reject = std::make_shared<Reject>(RequestId{ClientId{v}, OpNum{v}}, reason);
+    reject->map_epoch = v;
+    reject->home_group = static_cast<std::uint32_t>(v);
+    out.push_back(reject);
+  }
+  auto require = std::make_shared<Require>();
+  require->from = from;
+  require->ids = ids;
+  out.push_back(require);
+  auto propose = std::make_shared<Propose>();
+  propose->view = view;
+  propose->sqn = sqn;
+  propose->ids = ids;
+  out.push_back(propose);
+  auto commit = std::make_shared<Commit>();
+  commit->from = from;
+  commit->view = view;
+  commit->sqn = sqn;
+  commit->ids = ids;
+  out.push_back(commit);
+  auto forward = std::make_shared<Forward>();
+  forward->from = from;
+  forward->requests = requests;
+  out.push_back(forward);
+  auto fetch = std::make_shared<Fetch>();
+  fetch->from = from;
+  fetch->id = RequestId{ClientId{v}, OpNum{v}};
+  out.push_back(fetch);
+  auto viewchange = std::make_shared<ViewChange>();
+  viewchange->from = from;
+  viewchange->target = view;
+  viewchange->window_start = sqn;
+  for (std::size_t i = 0; i < std::min<std::size_t>(items, 3); ++i) {
+    viewchange->proposals.push_back(WindowEntry{sqn, view, ids});
+  }
+  out.push_back(viewchange);
+  auto state_request = std::make_shared<StateRequest>();
+  state_request->from = from;
+  state_request->have = sqn;
+  out.push_back(state_request);
+  auto state_response = std::make_shared<StateResponse>();
+  state_response->from = from;
+  state_response->upto = sqn;
+  state_response->snapshot = bytes;
+  for (std::size_t i = 0; i < items; ++i) {
+    state_response->last_executed.emplace_back(ClientId{v + i}, OpNum{v});
+  }
+  out.push_back(state_response);
+  auto paxos_propose = std::make_shared<PaxosPropose>();
+  paxos_propose->view = view;
+  paxos_propose->sqn = sqn;
+  paxos_propose->requests = requests;
+  out.push_back(paxos_propose);
+  auto paxos_accept = std::make_shared<PaxosAccept>();
+  paxos_accept->from = from;
+  paxos_accept->view = view;
+  paxos_accept->sqn = sqn;
+  out.push_back(paxos_accept);
+  auto paxos_viewchange = std::make_shared<PaxosViewChange>();
+  paxos_viewchange->from = from;
+  paxos_viewchange->target = view;
+  paxos_viewchange->window_start = sqn;
+  for (std::size_t i = 0; i < std::min<std::size_t>(items, 3); ++i) {
+    paxos_viewchange->proposals.push_back(PaxosWindowEntry{sqn, view, requests});
+  }
+  out.push_back(paxos_viewchange);
+  auto heartbeat = std::make_shared<PaxosHeartbeat>();
+  heartbeat->from = from;
+  heartbeat->view = view;
+  out.push_back(heartbeat);
+  auto smart_propose = std::make_shared<SmartPropose>();
+  smart_propose->view = view;
+  smart_propose->sqn = sqn;
+  smart_propose->requests = requests;
+  out.push_back(smart_propose);
+  auto smart_write = std::make_shared<SmartWrite>();
+  smart_write->from = from;
+  smart_write->view = view;
+  smart_write->sqn = sqn;
+  out.push_back(smart_write);
+  auto smart_accept = std::make_shared<SmartAccept>();
+  smart_accept->from = from;
+  smart_accept->view = view;
+  smart_accept->sqn = sqn;
+  out.push_back(smart_accept);
+  return out;
+}
+
+// wire_size() counts an encoding without making it; it must agree with the
+// encoding byte for byte, for every message type, at the varint length
+// boundaries, for empty and large lists, and in both states of each wire
+// extension flag.
+TEST(Messages, WireSizeEqualsEncodedSizeForEveryType) {
+  std::set<Type> types;
+  for (bool reasons : {false, true}) {
+    for (bool deadlines : {false, true}) {
+      set_wire_reject_reasons(reasons);
+      set_wire_request_deadlines(deadlines);
+      for (std::size_t items : {0u, 1u, 127u, 128u, 1000u}) {
+        for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 16383ull, 16384ull, 4294967295ull}) {
+          for (std::size_t body : {0u, 127u, 128u}) {
+            for (const auto& m : every_type(items, v, body)) {
+              // Sized first, from a fresh message, so the cached size comes
+              // from the counting pass and not from an earlier encode.
+              const std::size_t sized = m->wire_size();
+              const std::vector<std::byte> encoded = m->encode();
+              ASSERT_EQ(sized, encoded.size())
+                  << m->kind() << " items=" << items << " v=" << v << " body=" << body
+                  << " reasons=" << reasons << " deadlines=" << deadlines;
+              types.insert(m->type());
+            }
+          }
+        }
+      }
+    }
+  }
+  set_wire_reject_reasons(false);
+  set_wire_request_deadlines(false);
+  EXPECT_EQ(types.size(), 18u) << "every message type is covered";
 }
 
 }  // namespace

@@ -351,28 +351,42 @@ else
       BENCH_deadline.json "${PERF_TMP}/deadline.json" \
       env IDEM_DEADLINE_JSON="${PERF_TMP}/deadline.json" ./build/bench/fig_deadline
 
-  # Live-telemetry overhead guard: the same sweep with the admin endpoint
-  # and windowed metrics armed (IDEM_REAL_LIVE=1) must keep its saturation
-  # peak within a few percent of the plain run the real gate just produced
-  # on this same host. Only the peak is gated (--peak): the under-saturated
-  # points swing with scheduler luck far beyond any telemetry cost, while
-  # the peak is the stable summary statistic a hot-path tax would move.
+  # Live-telemetry overhead guard: the fig6_real points around saturation
+  # (4, 8 and 16 clients at r = 8) run plain and with the admin endpoint
+  # and windowed metrics armed (IDEM_REAL_LIVE=1), in interleaved pairs.
+  # One run's peak swings by -13 .. +11 % with host noise alone, so the
+  # gate is the median of the per-pair peak deltas against the 2 %
+  # tolerance, printed with the per-pair spread. Only the peak is compared
+  # (--peak): it is the stable summary a hot-path tax would move.
   LIVE_TOLERANCE="${IDEM_LIVE_OVERHEAD_TOLERANCE:-0.02}"
-  echo "== perf gate: live telemetry overhead (peak reply_kops) =="
-  LIVE_OK=0
-  for attempt in 1 2; do
-    env IDEM_REAL_LIVE=1 IDEM_REAL_JSON="${PERF_TMP}/real_live.json" \
-        ./build/bench/fig6_real >/dev/null
-    if ./build/tools/bench_compare --label live-overhead \
+  LIVE_PAIRS=5
+  echo "== perf gate: live telemetry overhead (median of ${LIVE_PAIRS} paired peaks) =="
+  live_deltas=()
+  for ((pair = 1; pair <= LIVE_PAIRS; pair++)); do
+    order=(0 1)
+    ((pair % 2 == 0)) && order=(1 0)
+    for live in "${order[@]}"; do
+      env IDEM_REAL_CLIENTS=4,8,16 IDEM_REAL_LIVE="${live}" \
+          IDEM_REAL_JSON="${PERF_TMP}/real_live${live}_${pair}.json" \
+          ./build/bench/fig6_real >/dev/null
+    done
+    # bench_compare prints "... peak reply_kops A -> B (+x.xx%, ...)" and
+    # fails past the tolerance; only the median below gates.
+    line="$(./build/tools/bench_compare --label "live-overhead pair ${pair}" \
         --tolerance "${LIVE_TOLERANCE}" --peak reply_kops \
-        --baseline "${PERF_TMP}/real.json" --fresh "${PERF_TMP}/real_live.json"; then
-      LIVE_OK=1
-      break
-    fi
-    [[ "${attempt}" -eq 1 ]] && \
-        echo "perf gate live-overhead: failed, retrying once with a fresh run"
+        --baseline "${PERF_TMP}/real_live0_${pair}.json" \
+        --fresh "${PERF_TMP}/real_live1_${pair}.json" | head -n 1)" || true
+    echo "${line}"
+    live_deltas+=("$(sed -E 's/.*\(([-+0-9.]+)%.*/\1/' <<<"${line}")")
   done
-  [[ "${LIVE_OK}" -eq 1 ]]
+  printf '%s\n' "${live_deltas[@]}" | sort -g | awk -v tol="${LIVE_TOLERANCE}" '
+    { delta[NR] = $1 }
+    END {
+      median = NR % 2 ? delta[(NR + 1) / 2] : (delta[NR / 2] + delta[NR / 2 + 1]) / 2
+      printf "live-overhead: median peak delta %+.2f%% over %d pairs (spread %+.2f%% .. %+.2f%%, tolerance %.1f%%)\n", median, NR, delta[1], delta[NR], tol * 100
+      if (median < -tol * 100) { print "REGRESSION: live telemetry costs more than the tolerance"; exit 1 }
+      print "PASS"
+    }'
 fi
 
 if [[ "${COVERAGE}" -eq 1 ]]; then
